@@ -67,7 +67,7 @@ type CSPSampler struct {
 	capRounds int
 
 	plan    *partition.CSPPlan
-	engines sync.Pool // *cluster.CSPEngine, sharded mode
+	engines sync.Pool // *cluster.Engine, sharded mode
 	scratch sync.Pool // *csp.Scratch, centralized mode
 	// soaPool pools SoA batch blocks across SampleNFrom calls, grow-only
 	// on width (see Sampler.soaPool).
@@ -154,8 +154,8 @@ func NewCSPSampler(g *Graph, c *CSPModel, init []int, opts ...Option) (*CSPSampl
 			s.remote.setObs(cfg.Obs, cfg.Log)
 			return s, nil
 		}
-		newEngine := func() (*cluster.CSPEngine, error) {
-			var eng *cluster.CSPEngine
+		newEngine := func() (*cluster.Engine, error) {
+			var eng *cluster.Engine
 			var err error
 			if cfg.Transport != nil {
 				local := make([]int, plan.K)
@@ -318,7 +318,7 @@ func (s *CSPSampler) SampleContext(ctx context.Context) ([]int, *ShardStats, err
 		return out, &st, nil
 	}
 	if s.plan != nil {
-		eng := s.engines.Get().(*cluster.CSPEngine)
+		eng := s.engines.Get().(*cluster.Engine)
 		// Cancellation closes the engine's transport: the lockstep
 		// workers fail their next exchange and Run returns. The closed
 		// engine is discarded, never re-pooled.
@@ -385,7 +385,7 @@ func (s *CSPSampler) SampleTracedContext(ctx context.Context, seed uint64) ([]in
 		return out, &st, tr, nil
 	}
 	if s.plan != nil {
-		eng := s.engines.Get().(*cluster.CSPEngine)
+		eng := s.engines.Get().(*cluster.Engine)
 		rec := obs.NewRoundRecorder(s.plan.K, s.rounds)
 		eng.SetObserver(&obs.TeeRounds{A: rec, B: s.roundObs})
 		stop := ctxWatch(ctx, func() { eng.Close() })
@@ -565,10 +565,10 @@ func (s *CSPSampler) SampleNContext(ctx context.Context, seed uint64, k int) (*C
 		go func() {
 			defer wg.Done()
 			var sc *csp.Scratch
-			var eng *cluster.CSPEngine
+			var eng *cluster.Engine
 			engDead := false
 			if s.plan != nil {
-				eng = s.engines.Get().(*cluster.CSPEngine)
+				eng = s.engines.Get().(*cluster.Engine)
 				stopEng := ctxWatch(ctx, func() { eng.Close() })
 				// A failed engine is poisoned (transport closed) and must
 				// not be re-pooled for the next batch; neither may one a

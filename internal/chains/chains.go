@@ -4,12 +4,22 @@
 // (Algorithm 2), and two classical baselines (systematic scan and the
 // chromatic-scheduler parallel Glauber of [28], both discussed in §3).
 //
+// Algorithms 1 and 2 are defined per vertex over its radius-1 ball, so each
+// is written once, as a Kernel: a list of barrier-separated phases over a
+// band (graph.Band) — owned vertices, their halo, and the owned CSR rows.
+// Three runtimes drive the same Kernel: sequential rounds run it over the
+// model's centralized band (identity IDs, no halo), vertex-parallel rounds
+// fan each phase over index ranges of that band, and the sharded runtime
+// (internal/cluster) runs it over each shard's band before the halo
+// exchange.
+//
 // All randomness is derived from a single seed via the PRF in internal/rng,
-// keyed by (tag, vertex/edge, round). Consequently a chain trajectory is a
-// pure function of (model, initial configuration, seed) — and the
-// distributed protocols in internal/dist, which derive the same variates
-// from the same keys, reproduce centralized trajectories bit-for-bit. That
-// equivalence is an integration test, not an accident.
+// keyed by (tag, global vertex/edge ID, round). Consequently a chain
+// trajectory is a pure function of (model, initial configuration, seed),
+// whichever runtime ran it — and the distributed protocols in
+// internal/dist, which derive the same variates from the same keys,
+// reproduce centralized trajectories bit-for-bit. That equivalence is an
+// integration test, not an accident.
 package chains
 
 import (
@@ -17,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"locsample/internal/graph"
 	"locsample/internal/mrf"
 	"locsample/internal/rng"
 )
@@ -93,15 +102,11 @@ type Options struct {
 	// reversible and its stationary distribution is biased; experiment E4
 	// quantifies the damage. It only affects LocalMetropolis.
 	DropRule3 bool
-	// Parallel > 1 runs each round's phases (propose / edge-filter / accept
-	// for LocalMetropolis, β-fill / resample for LubyGlauber) across that
-	// many goroutines over contiguous CSR ranges, with a barrier between
-	// phases. Trajectories are bit-identical to the sequential kernels at
-	// every worker count: all randomness is PRF-keyed by global vertex/edge
-	// IDs, every phase reads only state frozen by the previous barrier, and
-	// phase writes are disjoint per index. Only LubyGlauber and
-	// LocalMetropolis support it (the baselines are inherently sequential);
-	// NewSampler panics on other algorithms.
+	// Parallel > 1 fans each phase of a round over that many goroutines
+	// (contiguous index ranges, a barrier between phases; see Kernel).
+	// Trajectories are bit-identical to the sequential rounds at every
+	// worker count. Only LubyGlauber and LocalMetropolis support it (the
+	// baselines are inherently sequential); NewSampler panics on others.
 	Parallel int
 }
 
@@ -119,10 +124,10 @@ type Sampler struct {
 	seed  uint64
 	round int
 
-	classes  [][]int // chromatic scheduler color classes
-	coloring bool    // LocalMetropolis: take the §4.2 three-rule fast path
-	par      int     // effective vertex-parallel worker count (<= 1: sequential)
-	scratch  *Scratch
+	classes [][]int // chromatic scheduler color classes
+	// kernel runs the LubyGlauber and LocalMetropolis rounds; the
+	// sequential baselines use only its marginal buffer.
+	kernel *Kernel
 
 	// Obs, when non-nil, is called once per Step with the step's wall
 	// time. The nil check is the only per-step cost when disabled, and
@@ -138,64 +143,25 @@ type Sampler struct {
 	Abort *atomic.Bool
 }
 
-// Scratch holds the per-step working buffers shared by the round functions.
-type Scratch struct {
-	beta   []float64
-	marg   []float64
-	prop   []int
-	pass   []bool
-	accept []bool
-	// margs[w] is worker w's private marginal buffer for the vertex-parallel
-	// resample phase (the sequential kernels share marg).
-	margs [][]float64
-}
-
-// NewScratch returns buffers sized for model m.
-func NewScratch(m *mrf.MRF) *Scratch {
-	return &Scratch{
-		beta:   make([]float64, m.G.N()),
-		marg:   make([]float64, m.Q),
-		prop:   make([]int, m.G.N()),
-		pass:   make([]bool, m.G.M()),
-		accept: make([]bool, m.G.N()),
-	}
-}
-
-// ensureParallel sizes the per-worker marginal buffers.
-func (sc *Scratch) ensureParallel(q, workers int) {
-	for len(sc.margs) < workers {
-		sc.margs = append(sc.margs, make([]float64, q))
-	}
-}
-
 // NewSampler returns a Sampler starting from init (copied).
 func NewSampler(m *mrf.MRF, init []int, seed uint64, alg Algorithm, opts Options) *Sampler {
 	if len(init) != m.G.N() {
 		panic("chains: initial configuration has wrong length")
 	}
 	s := &Sampler{
-		M:       m,
-		X:       append([]int(nil), init...),
-		Alg:     alg,
-		Opts:    opts,
-		seed:    seed,
-		scratch: NewScratch(m),
+		M:    m,
+		X:    append([]int(nil), init...),
+		Alg:  alg,
+		Opts: opts,
+		seed: seed,
 	}
-	if opts.Parallel > 1 {
-		if alg != LubyGlauber && alg != LocalMetropolis {
-			panic(fmt.Sprintf("chains: %v has no vertex-parallel rounds (only LubyGlauber and LocalMetropolis decompose into barrier-separated phases)", alg))
-		}
-		s.par = opts.Parallel
-		if n := m.G.N(); s.par > n {
-			s.par = n
-		}
-		s.scratch.ensureParallel(m.Q, s.par)
-	}
-	if alg == LocalMetropolis {
-		// The specialized coloring round produces identical trajectories
-		// (TestColoringFastPathMatchesGeneral) without touching floating
-		// point on the hot path.
-		s.coloring = m.IsColoringModel()
+	switch {
+	case alg == LubyGlauber || alg == LocalMetropolis:
+		s.kernel = NewKernel(m, m.Band(), alg, opts)
+	case opts.Parallel > 1:
+		panic(fmt.Sprintf("chains: %v has no vertex-parallel rounds (only LubyGlauber and LocalMetropolis decompose into barrier-separated phases)", alg))
+	default:
+		s.kernel = NewScratch(m)
 	}
 	if alg == ChromaticGlauber {
 		colors, used := m.G.GreedyColoring()
@@ -239,28 +205,13 @@ func (s *Sampler) Step() {
 func (s *Sampler) step() {
 	switch s.Alg {
 	case Glauber:
-		GlauberStep(s.M, s.X, s.seed, s.round, s.scratch)
-	case LubyGlauber:
-		if s.par > 1 {
-			lubyGlauberRoundParallel(s.M, s.X, s.seed, s.round, s.scratch, s.par)
-		} else {
-			LubyGlauberRound(s.M, s.X, s.seed, s.round, s.scratch)
-		}
-	case LocalMetropolis:
-		switch {
-		case s.par > 1 && s.coloring:
-			coloringLocalMetropolisRoundParallel(s.M, s.X, s.seed, s.round, s.Opts.DropRule3, s.scratch, s.par)
-		case s.par > 1:
-			localMetropolisRoundParallel(s.M, s.X, s.seed, s.round, s.Opts.DropRule3, s.scratch, s.par)
-		case s.coloring:
-			ColoringLocalMetropolisRound(s.M, s.X, s.seed, s.round, s.Opts.DropRule3, s.scratch)
-		default:
-			LocalMetropolisRound(s.M, s.X, s.seed, s.round, s.Opts.DropRule3, s.scratch)
-		}
+		GlauberStep(s.M, s.X, s.seed, s.round, s.kernel)
+	case LubyGlauber, LocalMetropolis:
+		s.kernel.Round(s.X, s.seed, s.round)
 	case SystematicScan:
-		scanStep(s.M, s.X, s.seed, s.round, s.scratch)
+		scanStep(s.M, s.X, s.seed, s.round, s.kernel)
 	case ChromaticGlauber:
-		chromaticRound(s.M, s.X, s.seed, s.round, s.classes, s.scratch)
+		chromaticRound(s.M, s.X, s.seed, s.round, s.classes, s.kernel)
 	default:
 		panic("chains: unknown algorithm")
 	}
@@ -309,217 +260,6 @@ func chromaticRound(m *mrf.MRF, x []int, seed uint64, round int, classes [][]int
 		if c, ok := m.ResampleU(v, x, sc.marg, ku.Float64(uint64(v))); ok {
 			x[v] = c
 		}
-	}
-}
-
-// BetaLocalMax reports whether beta[v] strictly exceeds beta[u] for every u
-// in nbr — the Luby-step membership test of Algorithm 1, lines 3–4. It is
-// THE β-max loop: LubyStep, LubyGlauberRound, the vertex-parallel resample
-// phase, and the sharded runtime (internal/cluster, over shard-local
-// indices) all decide membership through this one function, so the strict-
-// inequality tie-break can never drift between runtimes.
-func BetaLocalMax(beta []float64, v int, nbr []int32) bool {
-	bv := beta[v]
-	for _, u := range nbr {
-		if beta[u] >= bv {
-			return false
-		}
-	}
-	return true
-}
-
-// LubyStep computes the Luby-step random independent set of round `round`:
-// β_v = PRF(seed, TagBeta, v, round) and v ∈ I iff β_v strictly exceeds
-// every neighbor's β (Algorithm 1, lines 3–4). It fills sc.beta and returns
-// the indicator in the provided slice (allocated if nil).
-func LubyStep(g *graph.Graph, seed uint64, round int, sc *Scratch, inI []bool) []bool {
-	n := g.N()
-	if inI == nil {
-		inI = make([]bool, n)
-	}
-	rng.Key(seed, TagBeta, uint64(round)).FillFloat64s(sc.beta[:n], 0)
-	rowPtr, nbr, _ := g.CSR()
-	for v := 0; v < n; v++ {
-		inI[v] = BetaLocalMax(sc.beta, v, nbr[rowPtr[v]:rowPtr[v+1]])
-	}
-	return inI
-}
-
-// LubyGlauberRound performs one round of Algorithm 1: select the Luby-step
-// independent set I, then resample every v ∈ I from its conditional
-// marginal, in parallel. Because I is independent, no resampled vertex
-// reads another resampled vertex, so sequential in-place iteration realizes
-// the parallel update exactly. The β priorities are streamed through one
-// partial PRF key and membership + resampling walk the flat CSR adjacency.
-func LubyGlauberRound(m *mrf.MRF, x []int, seed uint64, round int, sc *Scratch) {
-	g := m.G
-	n := g.N()
-	rng.Key(seed, TagBeta, uint64(round)).FillFloat64s(sc.beta[:n], 0)
-	ku := rng.Key(seed, TagUpdate, uint64(round))
-	rowPtr, nbr, _ := g.CSR()
-	beta := sc.beta
-	for v := 0; v < n; v++ {
-		if !BetaLocalMax(beta, v, nbr[rowPtr[v]:rowPtr[v+1]]) {
-			continue
-		}
-		if c, ok := m.ResampleU(v, x, sc.marg, ku.Float64(uint64(v))); ok {
-			x[v] = c
-		}
-	}
-}
-
-// LocalMetropolisRound performs one round of Algorithm 2:
-//
-//  1. every vertex v proposes σ_v with probability ∝ b_v(σ_v);
-//  2. every edge e = uv passes its check independently with probability
-//     Ã_e(σ_u,σ_v)·Ã_e(X_u,σ_v)·Ã_e(σ_u,X_v), using the shared coin
-//     PRF(seed, TagCoin, e, round);
-//  3. v accepts σ_v iff all incident edges passed.
-//
-// With dropRule3 the factor Ã_e(σ_u, X_v) is omitted (E4 ablation; the
-// resulting chain is biased).
-func LocalMetropolisRound(m *mrf.MRF, x []int, seed uint64, round int, dropRule3 bool, sc *Scratch) {
-	n := m.G.N()
-	ku := rng.Key(seed, TagUpdate, uint64(round))
-	for v := 0; v < n; v++ {
-		sc.prop[v] = m.ProposeU(v, ku.Float64(uint64(v)))
-	}
-	metropolisEdgeFilter(m, x, sc.prop, sc.pass, seed, round, dropRule3, 0, m.G.M())
-	applyPassAccept(m.G, x, sc.prop, sc.pass, 0, n)
-}
-
-// metropolisEdgeFilter runs the Algorithm 2 edge checks for edge IDs
-// [lo, hi): pass[id] = coin_id < Ã-product, with the shared coin streamed
-// through the round's TagCoin partial key. The sequential kernel passes the
-// full range; the vertex-parallel mode slices it.
-func metropolisEdgeFilter(m *mrf.MRF, x, prop []int, pass []bool, seed uint64, round int, dropRule3 bool, lo, hi int) {
-	kc := rng.Key(seed, TagCoin, uint64(round))
-	edges := m.G.Edges()
-	for id := lo; id < hi; id++ {
-		e := &edges[id]
-		p := EdgePassProb(m, id, x[e.U], x[e.V], prop[e.U], prop[e.V], dropRule3)
-		pass[id] = kc.Float64(uint64(id)) < p
-	}
-}
-
-// applyPassAccept applies the LocalMetropolis acceptance rule over vertices
-// [lo, hi): v adopts its proposal iff every incident edge passed. It walks
-// the flat CSR incidence array directly.
-func applyPassAccept(g *graph.Graph, x, prop []int, pass []bool, lo, hi int) {
-	rowPtr, _, inc := g.CSR()
-	for v := lo; v < hi; v++ {
-		ok := true
-		for t, end := rowPtr[v], rowPtr[v+1]; t < end; t++ {
-			if !pass[inc[t]] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			x[v] = prop[v]
-		}
-	}
-}
-
-// EdgePassProb returns the LocalMetropolis filter probability of edge id
-// given current spins (xu, xv) and proposals (su, sv) — the product of
-// Algorithm 2's three factors (two with dropRule3). The expression is not
-// symmetric in the endpoints: callers must pass values in the edge's
-// stored U/V orientation. Exported so the sharded runtime
-// (internal/cluster) evaluates exactly this expression, in this
-// multiplication order, for its bit-identity contract.
-func EdgePassProb(m *mrf.MRF, id, xu, xv, su, sv int, dropRule3 bool) float64 {
-	a := m.NormalizedEdge(id)
-	p := a.At(su, sv) * a.At(xu, sv)
-	if !dropRule3 {
-		p *= a.At(su, xv)
-	}
-	return p
-}
-
-// ColoringLocalMetropolisRound is the specialized proper-q-coloring fast
-// path of Algorithm 2 (§4.2): uniform proposals and the three deterministic
-// filter rules
-//
-//	reject at v if ∃u∈Γ(v): c_v = X_u  (rule 1),
-//	                        c_v = c_u  (rule 2),
-//	                        X_v = c_u  (rule 3).
-//
-// It consumes the PRF keys in exactly the same pattern as
-// LocalMetropolisRound, so both functions produce identical trajectories on
-// coloring models (tested), but this one does no floating-point activity
-// arithmetic on the hot path. Strictly, int(u·q) can disagree with
-// CategoricalU over q equal weights on a boundary set of u values of
-// measure ~2^−53 per draw — never observed, but when exact fast/general
-// agreement matters, compare like against like. The engine's determinism
-// contracts are unaffected: Sampler.Step and the distributed protocol
-// both take this path for coloring models.
-func ColoringLocalMetropolisRound(m *mrf.MRF, x []int, seed uint64, round int, dropRule3 bool, sc *Scratch) {
-	g := m.G
-	n := g.N()
-	coloringPropose(m, sc.prop, seed, round, 0, n)
-	if dropRule3 {
-		// Rule sets without rule 3 are asymmetric in the edge orientation
-		// (only c_v vs X_{e.U} is checked), so the ablation keeps the
-		// per-edge pass array. The default path below is symmetric and
-		// fuses the filter into a per-vertex sweep instead.
-		coloringEdgeFilter(g, x, sc.prop, sc.pass, true, 0, g.M())
-		applyPassAccept(g, x, sc.prop, sc.pass, 0, n)
-		return
-	}
-	rowPtr, nbr, _ := g.CSR()
-	for v := 0; v < n; v++ {
-		sc.accept[v] = coloringVertexOK(x, sc.prop, v, nbr[rowPtr[v]:rowPtr[v+1]])
-	}
-	for v := 0; v < n; v++ {
-		if sc.accept[v] {
-			x[v] = sc.prop[v]
-		}
-	}
-}
-
-// coloringPropose draws the §4.2 uniform color proposals for vertices
-// [lo, hi) through the round's TagUpdate partial key.
-func coloringPropose(m *mrf.MRF, prop []int, seed uint64, round int, lo, hi int) {
-	ku := rng.Key(seed, TagUpdate, uint64(round))
-	qf := float64(m.Q)
-	for v := lo; v < hi; v++ {
-		prop[v] = int(ku.Float64(uint64(v)) * qf)
-	}
-}
-
-// coloringVertexOK evaluates the three §4.2 filter rules for vertex v from
-// its own side of each incident edge. With all three rules the per-edge
-// failure condition c_u = c_v ∨ c_v = X_u ∨ c_u = X_v is symmetric in the
-// endpoints, so "every incident edge passes" equals "no neighbor triggers a
-// rule against v" — which lets the round skip the per-edge pass array (and
-// its edge-endpoint loads) entirely. Each cut check is evaluated from both
-// endpoints, exactly like the sharded runtime's redundant cut-edge
-// evaluation; the decisions agree because the inputs are identical.
-func coloringVertexOK(x, prop []int, v int, nbr []int32) bool {
-	pv, xv := prop[v], x[v]
-	for _, u := range nbr {
-		pu := prop[u]
-		if pv == pu || pv == x[u] || pu == xv {
-			return false
-		}
-	}
-	return true
-}
-
-// coloringEdgeFilter runs the §4.2 deterministic rules for edge IDs
-// [lo, hi) into pass, in the edge's stored orientation (required when
-// dropRule3 makes the rule set asymmetric).
-func coloringEdgeFilter(g *graph.Graph, x, prop []int, pass []bool, dropRule3 bool, lo, hi int) {
-	edges := g.Edges()
-	for id := lo; id < hi; id++ {
-		e := &edges[id]
-		cu, cv := prop[e.U], prop[e.V]
-		ok := cu != cv && cv != x[e.U]
-		if !dropRule3 {
-			ok = ok && cu != x[e.V]
-		}
-		pass[id] = ok
 	}
 }
 

@@ -231,7 +231,7 @@ func (b *SoABlock) glauberStep() {
 // lubyGlauberRound is LubyGlauberRound over all lanes: one β fill, one
 // CSR membership walk deciding all lanes per vertex, and lane-sequential
 // heat-bath resampling of the winners. Per lane the arithmetic is the
-// sequential kernel's verbatim: BetaLocalMax's strict tie-break and
+// sequential kernel's verbatim: graph.BetaLocalMax's strict tie-break and
 // ResampleU's marginal+draw order.
 func (b *SoABlock) lubyGlauberRound() {
 	m, w := b.M, b.w
@@ -406,7 +406,7 @@ func (b *SoABlock) localMetropolisRound() {
 	b.applyPassAccept()
 }
 
-// applyPassAccept is applyPassAccept over lane masks: a lane accepts at v
+// applyPassAccept is Kernel.acceptPass over lane masks: a lane accepts at v
 // iff its bit survives every incident edge's pass mask.
 func (b *SoABlock) applyPassAccept() {
 	g := b.M.G

@@ -1,26 +1,30 @@
 // Package cluster runs ONE Markov chain as k shard workers advancing in
 // lockstep rounds — the in-process analogue of the paper's message-passing
 // network, at shard rather than vertex granularity. Each worker owns a
-// partition shard (internal/partition): the states of its owned vertices,
-// halo copies of their out-of-shard neighbors, and channels to the
-// neighboring shards. A round is
+// partition shard (internal/partition): a band over its owned vertices
+// (graph.Band for MRFs, csp.Band for CSPs), the states of its owned
+// vertices plus halo copies of their out-of-shard neighbors, and links to
+// the neighboring shards. A round is
 //
-//	compute owned updates  →  send boundary states  →  receive halo states,
+//	run the round kernel on the band  →  send boundary states  →  receive halo states,
 //
 // where the receive acts as the round barrier: no worker starts round r+1
 // before every halo value it will read has arrived.
 //
-// The keystone invariant extends the batch engine's: a sharded draw with
-// seed s is bit-identical to the centralized chains.Sampler trajectory at
-// the same seed, invariant to shard count and partition strategy. It holds
-// because every variate is PRF-keyed by GLOBAL vertex/edge IDs and round
+// The package holds no round math. The kernel is the same chains.Kernel
+// (MRF) or csp.Kernel (CSP) the sequential and vertex-parallel runtimes
+// run; this package only schedules it and refreshes the halo. One Engine
+// serves both model families. The keystone invariant: a sharded draw with
+// seed s is bit-identical to the centralized chain at the same seed,
+// invariant to shard count and partition strategy. It holds because the
+// kernels key every variate by GLOBAL vertex/edge/constraint IDs and round
 // number — a vertex keeps its randomness no matter which shard owns it —
-// and because shard subgraphs preserve the global per-vertex adjacency
-// order, so conditional-marginal products multiply in the same
-// floating-point order as the centralized sweep. Cut edges are evaluated
-// redundantly on both incident shards; both read the same PRF coin and the
-// same endpoint states, so they agree without communication (exactly the
-// paper's shared-coin trick, §4).
+// and because shard bands preserve the global per-vertex slot order, so
+// conditional-marginal products multiply in the same floating-point order
+// as the centralized sweep. Cut edges and cut constraint scopes are
+// evaluated redundantly on every incident shard; all read the same PRF
+// coin and the same states, so they agree without communication (exactly
+// the paper's shared-coin trick, §4).
 //
 // Only the paper's two LOCAL algorithms shard: LubyGlauber and
 // LocalMetropolis. The inherently sequential baselines (Glauber,
@@ -28,22 +32,20 @@
 // to exploit.
 //
 // Boundary states travel over an internal/transport.Transport, so the
-// same engine runs all-local (channel transport, New) or as one worker
-// process of a cross-process draw (TCP mesh behind NewWithTransport).
+// same engine runs all-local (channel transport, New/NewCSP) or as one
+// worker process of a cross-process draw (TCP mesh behind
+// NewWithTransport/NewCSPWithTransport).
 //
 // The round barrier has two implementations. Below TreeBarrierMinShards
-// the workers pairwise exchange boundary frames over the transport
-// (all-local engines get the cap-2 double-buffered channel transport —
-// deadlock-free by construction; see Engine.tr). At high all-local shard
-// counts that costs every worker one rendezvous per neighbor per
-// round, so from TreeBarrierMinShards up the engine switches to a publish
-// model: each worker fills its double-buffered outgoing boundary buffers,
-// passes one tree-reduce barrier (O(log k) rendezvous depth instead of
-// O(deg) per worker), and then reads its halo values directly from its
-// neighbors' publish buffers. The barrier's happens-before chain makes the
-// reads race-free, and the double buffering lets a worker run one round
-// ahead without overwriting a buffer a slow neighbor is still reading —
-// the same argument as the channel scheme's capacity-2 invariant.
+// the workers pairwise exchange boundary frames over the transport. From
+// it up, all-local engines switch to a publish model: each worker fills
+// its double-buffered outgoing boundary buffers, passes one tree-reduce
+// barrier (O(log k) rendezvous depth instead of O(deg) per worker), and
+// reads its halo values straight from its neighbors' publish buffers. The
+// barrier's happens-before chain makes the reads race-free, and the double
+// buffering lets a worker run one round ahead without overwriting a buffer
+// a slow neighbor is still reading — the same argument as the channel
+// transport's capacity-2 invariant (see Engine.tr).
 package cluster
 
 import (
@@ -52,9 +54,9 @@ import (
 	"time"
 
 	"locsample/internal/chains"
+	"locsample/internal/csp"
 	"locsample/internal/mrf"
 	"locsample/internal/partition"
-	"locsample/internal/rng"
 	"locsample/internal/transport"
 )
 
@@ -94,17 +96,28 @@ func (s *Stats) Add(other Stats) {
 	s.WireBytes += other.WireBytes
 }
 
-// worker is one shard's mutable run state. Buffers are allocated once in
-// New and reused across rounds and runs, so the steady-state loop
-// allocates nothing.
-type worker struct {
-	sh *partition.Shard
+// kernel is one shard's round: chains.Kernel or csp.Kernel over the
+// shard's band. Round advances the band-local state and returns the number
+// of owned vertices updated.
+type kernel interface {
+	Round(x []int, seed uint64, round int) int
+}
 
-	x    []int     // local vertex states (owned band + halo band)
-	prop []int     // LocalMetropolis proposals, all local vertices
-	beta []float64 // LubyGlauber Luby-step priorities, all local vertices
-	pass []bool    // LocalMetropolis edge filter outcomes, per shard edge
-	marg []float64 // conditional-marginal scratch, length q
+// shard is what the round loop needs of a plan shard besides its kernel:
+// the band's global IDs and owned count, and the halo-exchange maps.
+type shard struct {
+	Global []int32
+	NOwned int
+	*partition.Halo
+}
+
+// worker is one shard's mutable run state. Buffers are allocated once in
+// the constructor and reused across rounds and runs, so the steady-state
+// loop allocates nothing.
+type worker struct {
+	sh   shard
+	kern kernel
+	x    []int // local vertex states (owned band + halo band)
 
 	// sendBuf[j] holds two alternating outgoing buffers per neighbor j.
 	// Round r sends buffer r&1; by the time round r+2 overwrites it, the
@@ -115,31 +128,28 @@ type worker struct {
 	msgs, vals, waitNS int64
 }
 
-// Engine executes sharded draws over a fixed (model, plan, algorithm)
-// triple. An Engine is reusable across sequential Run calls but is NOT
-// safe for concurrent Runs; callers that serve concurrent draws keep a
-// pool of engines (the batch Sampler does).
+// Engine executes sharded draws of one chain over a fixed (model, plan,
+// algorithm) triple, MRF or CSP alike. An Engine is reusable across
+// sequential Run calls but is NOT safe for concurrent Runs; callers that
+// serve concurrent draws keep a pool of engines (the batch Sampler does).
 type Engine struct {
-	m         *mrf.MRF
-	plan      *partition.Plan
-	alg       chains.Algorithm
-	dropRule3 bool
-	coloring  bool
+	k, n int
 
 	// ws[s] is non-nil exactly for the shards this engine hosts; local
-	// lists them in ascending order. An engine built by New hosts every
-	// shard; NewWithTransport engines host the subset a worker process
-	// was assigned.
+	// lists them in ascending order. An engine built by New or NewCSP
+	// hosts every shard; the WithTransport constructors host the subset a
+	// worker process was assigned.
 	ws    []*worker
 	local []int
-	// tr carries the boundary exchange. New uses the in-process channel
-	// transport (capacity-2 double-buffered links: a sender can never
-	// block, because at most the previous and current round's frames are
-	// outstanding — a worker cannot run two rounds ahead of a neighbor
-	// it must hear from every round — so the lockstep schedule is
-	// deadlock-free by construction). NewWithTransport plugs in any
-	// fabric: a TCP mesh for cross-process draws, a fault-injecting
-	// wrapper in tests. Nil when the tree barrier is active.
+	// tr carries the boundary exchange. All-local engines use the
+	// in-process channel transport (capacity-2 double-buffered links: a
+	// sender can never block, because at most the previous and current
+	// round's frames are outstanding — a worker cannot run two rounds
+	// ahead of a neighbor it must hear from every round — so the lockstep
+	// schedule is deadlock-free by construction). The WithTransport
+	// constructors plug in any fabric: a TCP mesh for cross-process
+	// draws, a fault-injecting wrapper in tests. Nil when the tree
+	// barrier is active.
 	tr transport.Transport
 	// bar replaces the pairwise transport rendezvous as the round barrier
 	// at K >= TreeBarrierMinShards when every shard is local; halo states
@@ -215,80 +225,97 @@ func (b *treeBarrier) wait(i int) {
 	}
 }
 
-// New compiles an engine hosting every shard of plan. Only LubyGlauber
-// and LocalMetropolis are shardable.
+// New compiles an engine hosting every shard of an MRF plan. Only
+// LubyGlauber and LocalMetropolis are shardable.
 func New(m *mrf.MRF, plan *partition.Plan, alg chains.Algorithm, dropRule3 bool) (*Engine, error) {
-	local := make([]int, plan.K)
-	for s := range local {
-		local[s] = s
-	}
-	var tr transport.Transport
-	if plan.K < TreeBarrierMinShards {
-		tr = transport.NewChan(plan.NeighborLists(), 0)
-	}
-	return newEngine(m, plan, alg, dropRule3, local, tr)
+	return newMRF(m, plan, alg, dropRule3, nil, nil)
 }
 
-// NewWithTransport compiles an engine hosting only the given shards of
-// plan, exchanging boundary states over tr — the worker-process side of
-// a cross-process draw, or an all-local engine on a custom (e.g.
+// NewWithTransport compiles an engine hosting only the given shards of an
+// MRF plan, exchanging boundary states over tr — the worker-process side
+// of a cross-process draw, or an all-local engine on a custom (e.g.
 // fault-injecting) fabric. The tree-barrier fast path never applies:
 // remote neighbors are only reachable through the transport.
 func NewWithTransport(m *mrf.MRF, plan *partition.Plan, alg chains.Algorithm, dropRule3 bool, local []int, tr transport.Transport) (*Engine, error) {
 	if tr == nil {
-		return nil, fmt.Errorf("cluster: NewWithTransport needs a transport")
+		return nil, errNoTransport
 	}
-	if len(local) == 0 {
-		return nil, fmt.Errorf("cluster: NewWithTransport needs at least one local shard")
-	}
-	seen := make(map[int]bool, len(local))
-	for _, s := range local {
-		if s < 0 || s >= plan.K {
-			return nil, fmt.Errorf("cluster: local shard %d out of range (plan has %d)", s, plan.K)
-		}
-		if seen[s] {
-			return nil, fmt.Errorf("cluster: local shard %d listed twice", s)
-		}
-		seen[s] = true
-	}
-	return newEngine(m, plan, alg, dropRule3, local, tr)
+	return newMRF(m, plan, alg, dropRule3, local, tr)
 }
 
-func newEngine(m *mrf.MRF, plan *partition.Plan, alg chains.Algorithm, dropRule3 bool, local []int, tr transport.Transport) (*Engine, error) {
+// NewCSP compiles an engine hosting every shard of a CSP plan, running
+// the hypergraph LubyGlauber or LocalMetropolis chain.
+func NewCSP(c *csp.CSP, plan *partition.CSPPlan, alg chains.Algorithm) (*Engine, error) {
+	return newCSP(c, plan, alg, nil, nil)
+}
+
+// NewCSPWithTransport compiles an engine hosting only the given shards
+// of a CSP plan over tr — the CSP counterpart of NewWithTransport.
+func NewCSPWithTransport(c *csp.CSP, plan *partition.CSPPlan, alg chains.Algorithm, local []int, tr transport.Transport) (*Engine, error) {
+	if tr == nil {
+		return nil, errNoTransport
+	}
+	return newCSP(c, plan, alg, local, tr)
+}
+
+var errNoTransport = fmt.Errorf("cluster: a transport engine needs a transport")
+
+func newMRF(m *mrf.MRF, plan *partition.Plan, alg chains.Algorithm, dropRule3 bool, local []int, tr transport.Transport) (*Engine, error) {
+	return newEngine(&plan.Layout, alg, m.G.N(), local, tr, func(s int) (shard, kernel) {
+		sh := plan.Shards[s]
+		return shard{sh.Global, sh.NOwned, sh.Halo}, chains.NewKernel(m, &sh.Band, alg, chains.Options{DropRule3: dropRule3})
+	})
+}
+
+func newCSP(c *csp.CSP, plan *partition.CSPPlan, alg chains.Algorithm, local []int, tr transport.Transport) (*Engine, error) {
+	return newEngine(&plan.Layout, alg, c.N, local, tr, func(s int) (shard, kernel) {
+		sh := plan.Shards[s]
+		return shard{sh.Global, sh.NOwned, sh.Halo}, csp.NewKernel(c, &sh.Band, alg == chains.LocalMetropolis, 1)
+	})
+}
+
+// newEngine validates the algorithm, the plan and the hosted shards, and
+// allocates the hosted workers; build returns shard s's view and kernel.
+// A nil tr means an all-local engine: it hosts every shard over the
+// channel transport below TreeBarrierMinShards and the tree barrier from
+// it up.
+func newEngine(plan *partition.Layout, alg chains.Algorithm, modelN int, local []int, tr transport.Transport, build func(s int) (shard, kernel)) (*Engine, error) {
 	if alg != chains.LubyGlauber && alg != chains.LocalMetropolis {
 		return nil, fmt.Errorf("cluster: %v cannot be sharded (only LubyGlauber and LocalMetropolis decompose into local rounds)", alg)
 	}
-	if m.G.N() != plan.N {
-		return nil, fmt.Errorf("cluster: plan partitions %d vertices, model has %d", plan.N, m.G.N())
+	if modelN != plan.N {
+		return nil, fmt.Errorf("cluster: plan partitions %d vertices, model has %d", plan.N, modelN)
 	}
-	e := &Engine{
-		m:         m,
-		plan:      plan,
-		alg:       alg,
-		dropRule3: dropRule3,
-		coloring:  alg == chains.LocalMetropolis && m.IsColoringModel(),
-		ws:        make([]*worker, plan.K),
-		local:     local,
-		tr:        tr,
-	}
-	if tr == nil {
-		e.bar = newTreeBarrier(plan.K)
-	}
-	for _, s := range local {
-		sh := plan.Shards[s]
-		w := &worker{
-			sh:      sh,
-			x:       make([]int, sh.NLocal()),
-			marg:    make([]float64, m.Q),
-			sendBuf: make([][2][]int, plan.K),
+	k := plan.K
+	e := &Engine{k: k, n: plan.N, ws: make([]*worker, k), local: local, tr: tr}
+	switch {
+	case tr == nil:
+		e.local = make([]int, k)
+		for s := range e.local {
+			e.local[s] = s
 		}
-		switch alg {
-		case chains.LubyGlauber:
-			w.beta = make([]float64, sh.NLocal())
-		case chains.LocalMetropolis:
-			w.prop = make([]int, sh.NLocal())
-			w.pass = make([]bool, len(sh.Edges))
+		if k >= TreeBarrierMinShards {
+			e.bar = newTreeBarrier(k)
+		} else {
+			e.tr = transport.NewChan(plan.NeighborLists(), 0)
 		}
+	case len(local) == 0:
+		return nil, fmt.Errorf("cluster: a transport engine needs at least one local shard")
+	default:
+		seen := make(map[int]bool, len(local))
+		for _, s := range local {
+			if s < 0 || s >= k {
+				return nil, fmt.Errorf("cluster: local shard %d out of range (plan has %d)", s, k)
+			}
+			if seen[s] {
+				return nil, fmt.Errorf("cluster: local shard %d listed twice", s)
+			}
+			seen[s] = true
+		}
+	}
+	for _, s := range e.local {
+		sh, kern := build(s)
+		w := &worker{sh: sh, kern: kern, x: make([]int, len(sh.Global)), sendBuf: make([][2][]int, k)}
 		for _, j := range sh.Neighbors {
 			w.sendBuf[j] = [2][]int{
 				make([]int, len(sh.SendTo[j])),
@@ -300,13 +327,10 @@ func newEngine(m *mrf.MRF, plan *partition.Plan, alg chains.Algorithm, dropRule3
 	return e, nil
 }
 
-// Plan returns the partition the engine runs on.
-func (e *Engine) Plan() *partition.Plan { return e.plan }
-
 // Run advances one chain for the given number of rounds from init (read
 // only) under the master seed, writing its hosted shards' owned states
 // into out (length n; an all-local engine fills all of it). The
-// trajectory is bit-identical to
+// trajectory is bit-identical to the centralized chain's: for an MRF,
 // chains.NewSampler(m, init, seed, alg, opts).Run(rounds).
 //
 // A non-nil error means the draw did not complete: a shard worker hit a
@@ -314,8 +338,8 @@ func (e *Engine) Plan() *partition.Plan { return e.plan }
 // unblock everyone). The engine is poisoned afterwards — its transport
 // is closed — so callers must discard it rather than Run again.
 func (e *Engine) Run(init []int, seed uint64, rounds int, out []int) (Stats, error) {
-	if len(init) != e.plan.N || len(out) != e.plan.N {
-		panic("cluster: init/out length does not match the partitioned graph")
+	if len(init) != e.n || len(out) != e.n {
+		panic("cluster: init/out length does not match the partitioned model")
 	}
 	for _, s := range e.local {
 		w := e.ws[s]
@@ -345,7 +369,7 @@ func (e *Engine) Run(init []int, seed uint64, rounds int, out []int) (Stats, err
 	if firstErr != nil {
 		return Stats{}, firstErr
 	}
-	st := Stats{Shards: e.plan.K, Rounds: rounds}
+	st := Stats{Shards: e.k, Rounds: rounds}
 	for _, s := range e.local {
 		w := e.ws[s]
 		st.BoundaryMessages += w.msgs
@@ -382,15 +406,7 @@ func (e *Engine) runShard(s int, seed uint64, rounds int, out []int) error {
 			roundStart = time.Now()
 			waitBefore = w.waitNS
 		}
-		var flips int
-		switch {
-		case e.alg == chains.LubyGlauber:
-			flips = e.lubyRound(w, seed, r)
-		case e.coloring:
-			flips = e.coloringRound(w, seed, r)
-		default:
-			flips = e.metropolisRound(w, seed, r)
-		}
+		flips := w.kern.Round(w.x, seed, r)
 		for _, j := range sh.Neighbors {
 			buf := w.sendBuf[j][r&1]
 			for t, l := range sh.SendTo[j] {
@@ -438,137 +454,4 @@ func (e *Engine) runShard(s int, seed uint64, rounds int, out []int) error {
 		out[sh.Global[l]] = w.x[l]
 	}
 	return nil
-}
-
-// lubyRound mirrors chains.LubyGlauberRound on one shard. Luby-step
-// priorities are PRF values, so halo priorities are recomputed locally
-// instead of communicated; the marginal products run in the global
-// adjacency order preserved by the shard CSR. In-place owned updates are
-// exact for the same reason as the centralized sweep: the Luby step is an
-// independent set, so no resampled vertex reads another resampled vertex.
-// Randomness streams through the same partial round keys as the
-// centralized kernel (keyed by GLOBAL vertex IDs), and membership goes
-// through the shared chains.BetaLocalMax, so the two runtimes cannot drift.
-// It returns the number of owned vertices resampled this round.
-func (e *Engine) lubyRound(w *worker, seed uint64, round int) int {
-	sh := w.sh
-	kb := rng.Key(seed, chains.TagBeta, uint64(round))
-	for l, gv := range sh.Global {
-		w.beta[l] = kb.Float64(uint64(gv))
-	}
-	ku := rng.Key(seed, chains.TagUpdate, uint64(round))
-	flips := 0
-	for v := 0; v < sh.NOwned; v++ {
-		if !chains.BetaLocalMax(w.beta, v, sh.Nbr[sh.RowPtr[v]:sh.RowPtr[v+1]]) {
-			continue
-		}
-		if e.marginalInto(w, v) {
-			w.x[v] = rng.CategoricalU(w.marg, ku.Float64(uint64(sh.Global[v])))
-			flips++
-		}
-	}
-	return flips
-}
-
-// marginalInto fills w.marg with owned vertex v's conditional marginal. It
-// is mrf.MarginalInto transcribed to shard-local indexing: same zero-skip,
-// same per-slot multiplication order (the shard CSR preserves the global
-// slot order), same normalization — so the resulting float64s, and hence
-// the CategoricalU draw, are bit-identical to the centralized chain's.
-func (e *Engine) marginalInto(w *worker, v int) bool {
-	m := e.m
-	sh := w.sh
-	b := m.VertexB[sh.Global[v]]
-	q := m.Q
-	out := w.marg
-	for c := 0; c < q; c++ {
-		out[c] = b[c]
-	}
-	for t := sh.RowPtr[v]; t < sh.RowPtr[v+1]; t++ {
-		a := m.EdgeA[sh.Edges[sh.EdgeSlot[t]].ID]
-		xu := w.x[sh.Nbr[t]]
-		for c := 0; c < q; c++ {
-			if out[c] != 0 {
-				out[c] *= a.At(c, xu)
-			}
-		}
-	}
-	total := 0.0
-	for c := 0; c < q; c++ {
-		total += out[c]
-	}
-	if total <= 0 {
-		return false
-	}
-	inv := 1 / total
-	for c := 0; c < q; c++ {
-		out[c] *= inv
-	}
-	return true
-}
-
-// metropolisRound mirrors chains.LocalMetropolisRound on one shard.
-// Proposals depend only on vertex activities, so halo proposals are
-// recomputed locally; cut-edge filters are evaluated redundantly on both
-// shards from the shared PRF coin. Proposals route through the same
-// mrf.ProposeU cumulative-table kernel and coins through the same partial
-// round keys as the centralized chain.
-// It returns the number of owned vertices that accepted their proposal.
-func (e *Engine) metropolisRound(w *worker, seed uint64, round int) int {
-	m := e.m
-	sh := w.sh
-	ku := rng.Key(seed, chains.TagUpdate, uint64(round))
-	for l, gv := range sh.Global {
-		w.prop[l] = m.ProposeU(int(gv), ku.Float64(uint64(gv)))
-	}
-	kc := rng.Key(seed, chains.TagCoin, uint64(round))
-	for le := range sh.Edges {
-		ed := &sh.Edges[le]
-		p := chains.EdgePassProb(m, int(ed.ID), w.x[ed.U], w.x[ed.V], w.prop[ed.U], w.prop[ed.V], e.dropRule3)
-		w.pass[le] = kc.Float64(uint64(ed.ID)) < p
-	}
-	return e.accept(w)
-}
-
-// coloringRound mirrors chains.ColoringLocalMetropolisRound (the §4.2
-// three-rule fast path) on one shard.
-func (e *Engine) coloringRound(w *worker, seed uint64, round int) int {
-	sh := w.sh
-	qf := float64(e.m.Q)
-	ku := rng.Key(seed, chains.TagUpdate, uint64(round))
-	for l, gv := range sh.Global {
-		w.prop[l] = int(ku.Float64(uint64(gv)) * qf)
-	}
-	for le := range sh.Edges {
-		ed := &sh.Edges[le]
-		cu, cv := w.prop[ed.U], w.prop[ed.V]
-		ok := cu != cv && cv != w.x[ed.U]
-		if !e.dropRule3 {
-			ok = ok && cu != w.x[ed.V]
-		}
-		w.pass[le] = ok
-	}
-	return e.accept(w)
-}
-
-// accept applies the LocalMetropolis acceptance rule to the owned band:
-// vertex v adopts its proposal iff every incident edge passed. Returns
-// the number of acceptances.
-func (e *Engine) accept(w *worker) int {
-	sh := w.sh
-	flips := 0
-	for v := 0; v < sh.NOwned; v++ {
-		ok := true
-		for t := sh.RowPtr[v]; t < sh.RowPtr[v+1]; t++ {
-			if !w.pass[sh.EdgeSlot[t]] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			w.x[v] = w.prop[v]
-			flips++
-		}
-	}
-	return flips
 }

@@ -32,7 +32,11 @@
 // (current, proposal) index pair. Constraints too large to tabulate
 // (q^arity > tableMaxEntries) transparently fall back to the closure path;
 // both paths produce bit-identical floats (the tables store exactly the
-// values F returns). All indexes are flat int32 CSR arrays.
+// values F returns). All indexes are flat int32 CSR arrays, held as the
+// CSP's centralized Band.
+//
+// Each chain's round is written once, as a Kernel over a Band, and every
+// runtime runs it (kernels.go).
 package csp
 
 import (
@@ -151,15 +155,9 @@ type CSP struct {
 	tabs   []*conTable
 	conTab []int32
 
-	// Flat scope CSR: constraint i reads scopeV[scopeOff[i]:scopeOff[i+1]].
-	scopeOff []int32
-	scopeV   []int32
-	// Vertex → incident-constraint CSR, ascending constraint index.
-	vconsOff []int32
-	vconsIdx []int32
-	// Hypergraph neighborhood CSR: Γ(v), distinct and sorted.
-	nbrOff []int32
-	nbrIdx []int32
+	// band is the centralized band: the flat scope, vertex → constraint
+	// and hypergraph-neighborhood CSR indexes, over identity IDs.
+	band Band
 
 	// Deduplicated proposal distributions: propDist/propCum[propOf[v]] are
 	// vertex v's normalized activity and its running sums (the
@@ -173,7 +171,7 @@ type CSP struct {
 
 	// msPool recycles marginal scratch for the convenience entry points
 	// (MarginalInto without caller-owned scratch); the round kernels carry
-	// their own Scratch instead.
+	// their own.
 	msPool sync.Pool
 }
 
@@ -327,50 +325,54 @@ func tableKey(vals []float64) string {
 	return string(b)
 }
 
-// buildIndexes assembles the flat CSR indexes: scopes, vertex→constraint
-// incidence, and the hypergraph neighborhoods (sort + dedupe over the
-// scope incidence — no per-vertex hash sets).
+// buildIndexes assembles the centralized band's flat CSR indexes: scopes,
+// vertex→constraint incidence, and the hypergraph neighborhoods (sort +
+// dedupe over the scope incidence — no per-vertex hash sets).
 func (c *CSP) buildIndexes() {
 	nCons := len(c.Cons)
 	total := 0
 	for i := range c.Cons {
 		total += len(c.Cons[i].Scope)
 	}
-	c.scopeOff = make([]int32, nCons+1)
-	c.scopeV = make([]int32, 0, total)
+	b := &c.band
+	b.Global = graph.Iota(c.N)
+	b.NOwned = c.N
+	b.ConID = graph.Iota(nCons)
+	b.ConPtr = make([]int32, nCons+1)
+	b.ConScope = make([]int32, 0, total)
 	for i := range c.Cons {
-		c.scopeV = append(c.scopeV, c.Cons[i].Scope...)
-		c.scopeOff[i+1] = int32(len(c.scopeV))
+		b.ConScope = append(b.ConScope, c.Cons[i].Scope...)
+		b.ConPtr[i+1] = int32(len(b.ConScope))
 	}
 
-	c.vconsOff = make([]int32, c.N+1)
-	for _, v := range c.scopeV {
-		c.vconsOff[v+1]++
+	b.VconPtr = make([]int32, c.N+1)
+	for _, v := range b.ConScope {
+		b.VconPtr[v+1]++
 	}
 	for v := 0; v < c.N; v++ {
-		c.vconsOff[v+1] += c.vconsOff[v]
+		b.VconPtr[v+1] += b.VconPtr[v]
 	}
-	c.vconsIdx = make([]int32, total)
+	b.Vcon = make([]int32, total)
 	for v := 0; v < c.N; v++ {
-		if d := int(c.vconsOff[v+1] - c.vconsOff[v]); d > c.maxVconsDeg {
+		if d := int(b.VconPtr[v+1] - b.VconPtr[v]); d > c.maxVconsDeg {
 			c.maxVconsDeg = d
 		}
 	}
-	cursor := append([]int32(nil), c.vconsOff[:c.N]...)
+	cursor := append([]int32(nil), b.VconPtr[:c.N]...)
 	for i := range c.Cons {
 		for _, v := range c.Cons[i].Scope {
-			c.vconsIdx[cursor[v]] = int32(i)
+			b.Vcon[cursor[v]] = int32(i)
 			cursor[v]++
 		}
 	}
 
-	c.nbrOff = make([]int32, c.N+1)
+	b.RowPtr = make([]int32, c.N+1)
 	nbr := make([]int32, 0, total)
 	var buf []int32
 	for v := 0; v < c.N; v++ {
 		buf = buf[:0]
-		for _, ci := range c.vconsIdx[c.vconsOff[v]:c.vconsOff[v+1]] {
-			for _, u := range c.scope(ci) {
+		for _, ci := range b.Cons(v) {
+			for _, u := range b.Scope(int(ci)) {
 				if u != int32(v) {
 					buf = append(buf, u)
 				}
@@ -384,9 +386,9 @@ func (c *CSP) buildIndexes() {
 				prev = u
 			}
 		}
-		c.nbrOff[v+1] = int32(len(nbr))
+		b.RowPtr[v+1] = int32(len(nbr))
 	}
-	c.nbrIdx = nbr
+	b.Nbr = nbr
 }
 
 // buildProposals deduplicates the normalized per-vertex proposal
@@ -402,17 +404,8 @@ func (c *CSP) buildProposals() {
 			c.propOf[v] = idx
 			continue
 		}
-		// Exactly ProposalDistInto's arithmetic, computed once.
 		dist := make([]float64, c.Q)
-		total := 0.0
-		for a := 0; a < c.Q; a++ {
-			dist[a] = b[a]
-			total += dist[a]
-		}
-		inv := 1 / total
-		for a := 0; a < c.Q; a++ {
-			dist[a] *= inv
-		}
+		c.ProposalDistInto(v, dist)
 		key := tableKey(dist)
 		if idx, ok := byContent[key]; ok {
 			byPtr[p0] = idx
@@ -431,20 +424,19 @@ func (c *CSP) buildProposals() {
 }
 
 // scope returns constraint ci's scope as a slice of the flat array.
-func (c *CSP) scope(ci int32) []int32 {
-	return c.scopeV[c.scopeOff[ci]:c.scopeOff[ci+1]]
-}
+func (c *CSP) scope(ci int32) []int32 { return c.band.Scope(int(ci)) }
+
+// Band returns the CSP's centralized band: identity IDs, every vertex
+// owned, every constraint local. Callers must not modify it.
+func (c *CSP) Band() *Band { return &c.band }
 
 // Neighborhood returns the hypergraph neighborhood Γ(v) (§3 remark). The
 // caller must not modify it.
-func (c *CSP) Neighborhood(v int) []int32 { return c.nbrIdx[c.nbrOff[v]:c.nbrOff[v+1]] }
+func (c *CSP) Neighborhood(v int) []int32 { return c.band.Row(v) }
 
 // ConstraintsOf returns the indices of the constraints containing v,
 // ascending. The caller must not modify it.
-func (c *CSP) ConstraintsOf(v int) []int32 { return c.vconsIdx[c.vconsOff[v]:c.vconsOff[v+1]] }
-
-// MaxArity returns the largest constraint scope size.
-func (c *CSP) MaxArity() int { return c.maxArity }
+func (c *CSP) ConstraintsOf(v int) []int32 { return c.band.Cons(v) }
 
 // TableOf returns constraint ci's compiled value table — entry i holds
 // F(decode(i)) with scope position 0 varying fastest, the same digit
@@ -459,21 +451,12 @@ func (c *CSP) TableOf(ci int) []float64 {
 	return nil
 }
 
-// PropRow returns vertex v's normalized proposal distribution and its
-// cumulative table (shared across vertices with equal activities). The
-// caller must not modify them.
-func (c *CSP) PropRow(v int) (dist, cum []float64) {
-	d := c.propOf[v]
-	return c.propDist[d], c.propCum[d]
-}
-
-// EvalOn evaluates constraint ci on configuration x through the index map
+// evalOn evaluates constraint ci on configuration x through the index map
 // scope: scope[j] is the position in x holding the constraint's j-th scope
-// vertex. The centralized kernels pass the constraint's own (global) scope;
-// the sharded runtime passes shard-local index maps — one implementation, so
-// the two cannot drift. buf (len ≥ arity) is scratch for the closure
-// fallback; nil allocates when needed.
-func (c *CSP) EvalOn(ci int, x []int, scope []int32, buf []int) float64 {
+// vertex — a band's local scope, global on the centralized band. buf
+// (len ≥ arity) is scratch for the closure fallback; nil allocates when
+// needed.
+func (c *CSP) evalOn(ci int, x []int, scope []int32, buf []int) float64 {
 	if ti := c.conTab[ci]; ti >= 0 {
 		t := c.tabs[ti]
 		idx, stride := 0, 1
@@ -493,11 +476,12 @@ func (c *CSP) EvalOn(ci int, x []int, scope []int32, buf []int) float64 {
 	return c.Cons[ci].F(vals)
 }
 
-// Weight returns w(σ).
+// Weight returns w(σ). The product underflows to 0 on large instances, so
+// test feasibility with Feasible, not Weight(σ) > 0.
 func (c *CSP) Weight(sigma []int) float64 {
 	w := 1.0
 	for i := range c.Cons {
-		w *= c.EvalOn(i, sigma, c.scope(int32(i)), nil)
+		w *= c.evalOn(i, sigma, c.scope(int32(i)), nil)
 		if w == 0 {
 			return 0
 		}
@@ -511,8 +495,23 @@ func (c *CSP) Weight(sigma []int) float64 {
 	return w
 }
 
-// Feasible reports whether w(σ) > 0.
-func (c *CSP) Feasible(sigma []int) bool { return c.Weight(sigma) > 0 }
+// Feasible reports whether w(σ) > 0, i.e. whether every constraint and
+// vertex factor is positive. It tests the factors one at a time instead of
+// taking their product, which underflows to 0 on large instances even when
+// every factor is positive.
+func (c *CSP) Feasible(sigma []int) bool {
+	for i := range c.Cons {
+		if c.evalOn(i, sigma, c.scope(int32(i)), nil) == 0 {
+			return false
+		}
+	}
+	for v, b := range c.VertexB {
+		if b[sigma[v]] == 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // margScratch holds the per-call working arrays of marginalInto: the
 // hoisted per-constraint table pointers, base indexes, and spin strides,
@@ -545,34 +544,38 @@ func (c *CSP) MarginalInto(v int, sigma []int, out []float64) bool {
 		m := newMargScratch(c)
 		ms = &m
 	}
-	ok := c.marginalInto(v, sigma, out, ms)
+	ok := c.marginalInto(&c.band, v, sigma, out, ms)
 	c.msPool.Put(ms)
 	return ok
 }
 
-func (c *CSP) marginalInto(v int, sigma []int, out []float64, ms *margScratch) bool {
-	saved := sigma[v]
-	cons := c.vconsIdx[c.vconsOff[v]:c.vconsOff[v+1]]
-	b := c.VertexB[v]
+// marginalInto is MarginalInto for owned vertex v of band b over the
+// band-local configuration x — the one CSP marginal kernel, run by every
+// runtime. Its incident constraints multiply in ascending global
+// constraint order (every band's Vcon rows keep it) through the compiled
+// tables, so the floats are the same on every band.
+func (c *CSP) marginalInto(b *Band, v int, x []int, out []float64, ms *margScratch) bool {
+	saved := x[v]
+	slots := b.Cons(v)
 	// Hoist each tabulated constraint's mixed-radix index out of the spin
-	// loop: with base the index over σ restricted to the other scope
+	// loop: with base the index over x restricted to the other scope
 	// members and vstride the stride of v's scope position, the table cell
 	// for spin a is base + a·vstride — the exact index the full walk would
 	// compute, so the looked-up factors (and the products below, taken in
 	// the same ascending-constraint order) are bit-identical.
-	for i, ci := range cons {
-		ti := c.conTab[ci]
+	for i, slot := range slots {
+		ti := c.conTab[b.ConID[slot]]
 		if ti < 0 {
 			ms.tabs[i] = nil // closure fallback, evaluated per spin below
 			continue
 		}
 		t := c.tabs[ti]
 		idx, vstride, stride := 0, 0, 1
-		for _, u := range c.scope(ci) {
+		for _, u := range b.Scope(int(slot)) {
 			if int(u) == v {
 				vstride = stride
 			} else {
-				idx += sigma[u] * stride
+				idx += x[u] * stride
 			}
 			stride *= c.Q
 		}
@@ -580,16 +583,17 @@ func (c *CSP) marginalInto(v int, sigma []int, out []float64, ms *margScratch) b
 		ms.base[i] = idx
 		ms.stride[i] = vstride
 	}
+	vb := c.VertexB[b.Global[v]]
 	total := 0.0
 	for a := 0; a < c.Q; a++ {
-		w := b[a]
+		w := vb[a]
 		if w > 0 {
-			sigma[v] = a
-			for i, ci := range cons {
+			x[v] = a
+			for i, slot := range slots {
 				if t := ms.tabs[i]; t != nil {
 					w *= t.vals[ms.base[i]+a*ms.stride[i]]
 				} else {
-					w *= c.EvalOn(int(ci), sigma, c.scope(ci), ms.eval)
+					w *= c.evalOn(int(b.ConID[slot]), x, b.Scope(int(slot)), ms.eval)
 				}
 				if w == 0 {
 					break
@@ -599,7 +603,7 @@ func (c *CSP) marginalInto(v int, sigma []int, out []float64, ms *margScratch) b
 		out[a] = w
 		total += w
 	}
-	sigma[v] = saved
+	x[v] = saved
 	if total <= 0 {
 		return false
 	}
@@ -616,14 +620,14 @@ func (c *CSP) marginalInto(v int, sigma []int, out []float64, ms *margScratch) b
 // the proposal vector prop with the current vector cur — every mixing except
 // cur itself.
 func (c *CSP) CheckProb(ci int, cur, prop []int) float64 {
-	return c.CheckProbOn(ci, cur, prop, c.scope(int32(ci)), nil)
+	return c.checkProbOn(ci, cur, prop, c.scope(int32(ci)), nil)
 }
 
-// CheckProbOn is CheckProb through an explicit scope index map (see EvalOn).
+// checkProbOn is CheckProb through an explicit scope index map (see evalOn).
 // For compiled shapes it is pure index arithmetic — and a single lookup when
 // the (cur, prop) product matrix was precomputed. buf (len ≥ 3·arity) is
 // scratch for the closure fallback; nil allocates when needed.
-func (c *CSP) CheckProbOn(ci int, cur, prop []int, scope []int32, buf []int) float64 {
+func (c *CSP) checkProbOn(ci int, cur, prop []int, scope []int32, buf []int) float64 {
 	k := len(scope)
 	if ti := c.conTab[ci]; ti >= 0 {
 		t := c.tabs[ti]

@@ -1,25 +1,27 @@
 // Round kernels for the hypergraph chains over CSPs, in the style of the
-// MRF kernels in internal/chains: randomness streams through partial round
-// keys (rng.Key) instead of full per-variate PRF calls, proposals draw from
-// precomputed cumulative activity tables (CategoricalCumU), constraint
-// evaluation is compiled-table index arithmetic, and every working buffer
-// lives in a reusable Scratch — the steady-state rounds allocate nothing.
+// MRF kernels in internal/chains: one Kernel runs each chain's round over a
+// Band, randomness streams through partial round keys (rng.Key) keyed by
+// global vertex and constraint IDs, proposals draw from precomputed
+// cumulative activity tables (CategoricalCumU), constraint evaluation is
+// compiled-table index arithmetic, and every working buffer lives in the
+// Kernel — the steady-state rounds allocate nothing.
 //
-// Each kernel also has a vertex-parallel form: the round's phases
+// The runtimes differ only in how they drive a Kernel: sequential rounds
+// run it over the centralized band, vertex-parallel rounds fan each phase
 // (β-fill / resample for LubyGlauber; propose / constraint-filter / accept
-// for LocalMetropolis) fan over contiguous index ranges with a barrier
-// between phases. Bit-identity with the sequential kernels holds at every
-// worker count because all randomness is PRF-keyed by global vertex or
-// constraint IDs (never visitation order), each phase reads only state
-// frozen by the previous barrier, and phase writes are disjoint per index.
-// The one in-place phase — LubyGlauber's resample — writes only members of
-// the Luby strongly independent set, no two of which share a constraint, so
-// no resampled vertex's marginal reads another resampled vertex.
+// for LocalMetropolis) over contiguous index ranges with a barrier between
+// phases, and the sharded runtime (internal/cluster) runs one Kernel per
+// shard band before each halo exchange. All three give the same draw
+// because all randomness is keyed by global IDs (never local index or
+// visitation order), each phase reads only state frozen by the previous
+// barrier, and phase writes are disjoint per index. The one in-place phase
+// — LubyGlauber's resample — writes only members of the Luby strongly
+// independent set, no two of which share a constraint, so no resampled
+// vertex's marginal reads another resampled vertex.
 package csp
 
 import (
-	"sync"
-
+	"locsample/internal/graph"
 	"locsample/internal/rng"
 )
 
@@ -31,65 +33,186 @@ const (
 	TagCoin   = 0x3003
 )
 
-// Scratch holds the per-round working buffers shared by the round kernels.
-// One Scratch serves one chain at a time; pool them to serve concurrent
-// draws.
-type Scratch struct {
-	beta []float64
-	marg []float64
-	prop []int
-	pass []bool
-	// ms is the marginal/fallback scratch (hoisted table indexes plus the
-	// closure gather buffer).
-	ms margScratch
-	// margs[w]/mss[w] are worker w's private buffers for the
-	// vertex-parallel phases.
+// phase is one barrier-separated step of a round (see graph.Phase).
+type phase = graph.Phase[*Kernel]
+
+// The rounds, as phase lists.
+var (
+	lubyRound = []phase{
+		{Span: graph.Local, Run: (*Kernel).fillBeta},
+		{Span: graph.Owned, Run: (*Kernel).resample},
+	}
+	metropolisRound = []phase{
+		{Span: graph.Local, Run: (*Kernel).propose},
+		{Span: graph.Items, Run: (*Kernel).filter},
+		{Span: graph.Owned, Run: (*Kernel).accept},
+	}
+)
+
+// Kernel runs one CSP chain's LubyGlauber or LocalMetropolis rounds over a
+// band: the only implementation of those rounds, driven by every runtime
+// (see the comment above). A Kernel holds the round's buffers and is not
+// safe for concurrent Rounds.
+type Kernel struct {
+	c       *CSP
+	b       *Band
+	phases  []phase
+	workers int
+
+	beta []float64 // Luby-step priorities, per local vertex
+	prop []int     // proposals, per local vertex
+	pass []bool    // check outcomes, per local constraint
+	// margs[w]/mss[w] are worker w's marginal and fallback scratch
+	// (hoisted table indexes plus the closure gather buffer).
 	margs [][]float64
 	mss   []margScratch
+	flips []int
+
+	// The round in progress.
+	x          []int
+	kb, ku, kc rng.RoundKey
 }
 
-// NewScratch returns buffers sized for CSP c. The LocalMetropolis-only
-// buffers (proposals, per-constraint pass bits) are allocated on first use,
-// so the LubyGlauber serving path never carries them.
+// Scratch is a Kernel over a CSP's centralized band. The package-level
+// round functions take one and pick their chain per call; a Scratch serves
+// one chain at a time, so pool them to serve concurrent draws.
+type Scratch = Kernel
+
+// NewScratch returns a Scratch for CSP c. The LocalMetropolis-only buffers
+// (proposals, per-constraint pass bits) are allocated on first use, so the
+// LubyGlauber serving path never carries them.
 func NewScratch(c *CSP) *Scratch {
-	return &Scratch{
-		beta: make([]float64, c.N),
-		marg: make([]float64, c.Q),
-		ms:   newMargScratch(c),
+	return (&Kernel{b: &c.band}).use(c, false, 1)
+}
+
+// NewKernel returns a Kernel running the LubyGlauber chain, or the
+// LocalMetropolis chain when metropolis is set, over band b of c, with each
+// phase fanned over workers goroutines when workers > 1.
+func NewKernel(c *CSP, b *Band, metropolis bool, workers int) *Kernel {
+	k := &Kernel{c: c, b: b}
+	k.setRound(metropolis, min(max(workers, 1), max(b.NLocal(), 1)))
+	return k
+}
+
+// use points a Scratch at c's centralized band and chain for one
+// package-level round call.
+func (k *Kernel) use(c *CSP, metropolis bool, workers int) *Kernel {
+	k.c, k.b = c, &c.band
+	k.setRound(metropolis, workers)
+	return k
+}
+
+// setRound selects the chain's round and sizes the buffers it needs for
+// the given worker count.
+func (k *Kernel) setRound(metropolis bool, workers int) {
+	k.phases, k.workers = lubyRound, workers
+	if metropolis {
+		k.phases = metropolisRound
+		if k.prop == nil {
+			k.prop = make([]int, k.b.NLocal())
+			k.pass = make([]bool, len(k.b.ConID))
+		}
+	} else if k.beta == nil {
+		k.beta = make([]float64, k.b.NLocal())
+	}
+	for len(k.margs) < workers {
+		k.margs = append(k.margs, make([]float64, k.c.Q))
+		k.mss = append(k.mss, newMargScratch(k.c))
+	}
+	if len(k.flips) < workers {
+		k.flips = make([]int, workers)
 	}
 }
 
-// ensureMetropolis sizes the LocalMetropolis buffers.
-func (sc *Scratch) ensureMetropolis(c *CSP) {
-	if sc.prop == nil {
-		sc.prop = make([]int, c.N)
-		sc.pass = make([]bool, len(c.Cons))
-	}
+// Round advances the band-local configuration x (owned band then halo) by
+// one round at the given seed and round number, and returns how many owned
+// vertices took a new value. Halo values are read, never written.
+func (k *Kernel) Round(x []int, seed uint64, round int) int {
+	r := uint64(round)
+	k.x = x
+	k.kb, k.ku, k.kc = rng.Key(seed, TagBeta, r), rng.Key(seed, TagUpdate, r), rng.Key(seed, TagCoin, r)
+	b := k.b
+	return graph.RunRound(k, k.phases, [3]int{b.NLocal(), b.NOwned, len(b.ConID)}, k.workers, k.flips)
 }
 
-// EnsureParallel sizes the per-worker buffers for the vertex-parallel
-// kernels.
-func (sc *Scratch) EnsureParallel(c *CSP, workers int) {
-	for len(sc.margs) < workers {
-		sc.margs = append(sc.margs, make([]float64, c.Q))
-		sc.mss = append(sc.mss, newMargScratch(c))
-	}
+// fillBeta draws the Luby-step priorities of local vertices [lo, hi).
+func (k *Kernel) fillBeta(_, lo, hi int) int {
+	k.kb.FillFloat64sAt(k.beta[lo:hi], k.b.Global[lo:hi])
+	return 0
 }
 
-// betaLocalMax is the Luby-step membership test over the hypergraph
-// neighborhood: beta[v] must strictly exceed beta[u] for every u in nbr.
-// It must stay expression-for-expression identical to chains.BetaLocalMax
-// (which the sharded CSP runtime uses) — csp cannot import chains without a
-// test-only cycle through internal/exact, so the agreement is enforced by
-// the golden-trajectory and sharded bit-identity gates instead.
-func betaLocalMax(beta []float64, v int, nbr []int32) bool {
-	bv := beta[v]
-	for _, u := range nbr {
-		if beta[u] >= bv {
-			return false
+// resample is the hypergraph LubyGlauber update over owned vertices
+// [lo, hi): winners are strict local maxima of β over Γ(v) and redraw from
+// their conditional marginals. Winners are strongly independent (no two
+// share a constraint), so the in-place writes are exact.
+func (k *Kernel) resample(w, lo, hi int) int {
+	c, b, x, beta, ku := k.c, k.b, k.x, k.beta, k.ku
+	marg, ms := k.margs[w], &k.mss[w]
+	rowPtr, nbr, ids := b.RowPtr, b.Nbr, b.Global
+	flips := 0
+	for v := lo; v < hi; v++ {
+		if !graph.BetaLocalMax(beta, v, nbr[rowPtr[v]:rowPtr[v+1]]) {
+			continue
+		}
+		if c.marginalInto(b, v, x, marg, ms) {
+			x[v] = rng.CategoricalU(marg, ku.Float64(uint64(ids[v])))
+			flips++
 		}
 	}
-	return true
+	return flips
+}
+
+// propose draws the proposals σ_v ∝ b_v of local vertices [lo, hi)
+// through the deduplicated cumulative proposal tables.
+func (k *Kernel) propose(_, lo, hi int) int {
+	c, prop, ku := k.c, k.prop[lo:hi], k.ku
+	for i, gv := range k.b.Global[lo:hi] {
+		d := c.propOf[gv]
+		prop[i] = rng.CategoricalCumU(c.propDist[d], c.propCum[d], ku.Float64(uint64(gv)))
+	}
+	return 0
+}
+
+// filter runs the LocalMetropolis checks for local constraint slots
+// [lo, hi): a constraint passes iff its shared coin PRF(seed, TagCoin, ci,
+// round) falls below its check probability. A cut-scope constraint is
+// checked on every shard it touches, from the same coin and the same
+// (owned + halo) values, so all agree.
+func (k *Kernel) filter(w, lo, hi int) int {
+	c, b, x, prop, pass, kc, eval := k.c, k.b, k.x, k.prop, k.pass, k.kc, k.mss[w].eval
+	for slot := lo; slot < hi; slot++ {
+		ci := b.ConID[slot]
+		p := c.checkProbOn(int(ci), x, prop, b.Scope(slot), eval)
+		pass[slot] = kc.Float64(uint64(ci)) < p
+	}
+	return 0
+}
+
+// accept applies the LocalMetropolis acceptance rule over owned vertices
+// [lo, hi).
+func (k *Kernel) accept(_, lo, hi int) int {
+	return acceptPass(k.b, k.x, k.prop, k.pass, lo, hi)
+}
+
+// acceptPass applies the LocalMetropolis acceptance rule over owned
+// vertices [lo, hi) of b: v adopts its proposal iff every constraint
+// containing it passed. It returns the number of acceptances.
+func acceptPass(b *Band, x, prop []int, pass []bool, lo, hi int) int {
+	flips := 0
+	for v := lo; v < hi; v++ {
+		ok := true
+		for _, slot := range b.Cons(v) {
+			if !pass[slot] {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			x[v] = prop[v]
+			flips++
+		}
+	}
+	return flips
 }
 
 // LubyGlauberRoundPRF advances x by one hypergraph LubyGlauber round with
@@ -99,139 +222,28 @@ func betaLocalMax(beta []float64, v int, nbr []int32) bool {
 // neighborhood; because winners are strongly independent (no two share a
 // constraint), in-place resampling is exact.
 func LubyGlauberRoundPRF(c *CSP, x []int, seed uint64, round int, sc *Scratch) {
-	n := c.N
-	beta := sc.beta[:n]
-	rng.Key(seed, TagBeta, uint64(round)).FillFloat64s(beta, 0)
-	ku := rng.Key(seed, TagUpdate, uint64(round))
-	for v := 0; v < n; v++ {
-		if !betaLocalMax(beta, v, c.nbrIdx[c.nbrOff[v]:c.nbrOff[v+1]]) {
-			continue
-		}
-		if c.marginalInto(v, x, sc.marg, &sc.ms) {
-			x[v] = rng.CategoricalU(sc.marg, ku.Float64(uint64(v)))
-		}
-	}
+	sc.use(c, false, 1).Round(x, seed, round)
 }
 
 // LocalMetropolisRoundPRF advances x by one CSP LocalMetropolis round with
 // PRF randomness: proposals keyed by (TagUpdate, v, round), constraint coins
 // by (TagCoin, constraint, round).
 func LocalMetropolisRoundPRF(c *CSP, x []int, seed uint64, round int, sc *Scratch) {
-	n := c.N
-	sc.ensureMetropolis(c)
-	ku := rng.Key(seed, TagUpdate, uint64(round))
-	for v := 0; v < n; v++ {
-		d := c.propOf[v]
-		sc.prop[v] = rng.CategoricalCumU(c.propDist[d], c.propCum[d], ku.Float64(uint64(v)))
-	}
-	kc := rng.Key(seed, TagCoin, uint64(round))
-	constraintFilter(c, x, sc.prop, sc.pass, kc, sc.ms.eval, 0, len(c.Cons))
-	applyPassAccept(c, x, sc.prop, sc.pass, 0, n)
-}
-
-// constraintFilter runs the LocalMetropolis checks for constraint IDs
-// [lo, hi): pass[ci] = coin_ci < CheckProb, with the shared coin streamed
-// through the round's TagCoin partial key. The sequential kernel passes the
-// full range; the vertex-parallel mode slices it.
-func constraintFilter(c *CSP, x, prop []int, pass []bool, kc rng.RoundKey, eval []int, lo, hi int) {
-	for ci := lo; ci < hi; ci++ {
-		p := c.CheckProbOn(ci, x, prop, c.scope(int32(ci)), eval)
-		pass[ci] = kc.Float64(uint64(ci)) < p
-	}
-}
-
-// applyPassAccept applies the LocalMetropolis acceptance rule over vertices
-// [lo, hi): v adopts its proposal iff every constraint containing it passed.
-func applyPassAccept(c *CSP, x, prop []int, pass []bool, lo, hi int) {
-	for v := lo; v < hi; v++ {
-		ok := true
-		for t, end := c.vconsOff[v], c.vconsOff[v+1]; t < end; t++ {
-			if !pass[c.vconsIdx[t]] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			x[v] = prop[v]
-		}
-	}
-}
-
-// parallelFor runs fn(w, lo, hi) over a balanced partition of [0, n) into
-// contiguous blocks, one goroutine per block, and waits for all of them —
-// the phase barrier of the parallel round kernels.
-func parallelFor(n, workers int, fn func(w, lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	sc.use(c, true, 1).Round(x, seed, round)
 }
 
 // LubyGlauberRoundParallel is LubyGlauberRoundPRF with both phases fanned
-// over workers: β-fill (disjoint writes to sc.beta), then membership +
-// resample with per-worker marginal scratch. The in-place x writes are
-// race-free because the Luby step is strongly independent (see the package
-// comment).
+// over workers: β-fill, then membership + resample with per-worker
+// marginal scratch.
 func LubyGlauberRoundParallel(c *CSP, x []int, seed uint64, round int, sc *Scratch, workers int) {
-	n := c.N
-	sc.EnsureParallel(c, workers)
-	beta := sc.beta[:n]
-	kb := rng.Key(seed, TagBeta, uint64(round))
-	parallelFor(n, workers, func(_, lo, hi int) {
-		kb.FillFloat64s(beta[lo:hi], uint64(lo))
-	})
-	ku := rng.Key(seed, TagUpdate, uint64(round))
-	parallelFor(n, workers, func(w, lo, hi int) {
-		marg, ms := sc.margs[w], &sc.mss[w]
-		for v := lo; v < hi; v++ {
-			if !betaLocalMax(beta, v, c.nbrIdx[c.nbrOff[v]:c.nbrOff[v+1]]) {
-				continue
-			}
-			if c.marginalInto(v, x, marg, ms) {
-				x[v] = rng.CategoricalU(marg, ku.Float64(uint64(v)))
-			}
-		}
-	})
+	sc.use(c, false, workers).Round(x, seed, round)
 }
 
 // LocalMetropolisRoundParallel is LocalMetropolisRoundPRF with its three
 // phases fanned over workers: propose over vertex ranges, constraint-filter
-// over constraint-ID ranges, accept over vertex ranges.
+// over constraint ranges, accept over vertex ranges.
 func LocalMetropolisRoundParallel(c *CSP, x []int, seed uint64, round int, sc *Scratch, workers int) {
-	n := c.N
-	sc.ensureMetropolis(c)
-	sc.EnsureParallel(c, workers)
-	ku := rng.Key(seed, TagUpdate, uint64(round))
-	parallelFor(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			d := c.propOf[v]
-			sc.prop[v] = rng.CategoricalCumU(c.propDist[d], c.propCum[d], ku.Float64(uint64(v)))
-		}
-	})
-	kc := rng.Key(seed, TagCoin, uint64(round))
-	parallelFor(len(c.Cons), workers, func(w, lo, hi int) {
-		constraintFilter(c, x, sc.prop, sc.pass, kc, sc.mss[w].eval, lo, hi)
-	})
-	parallelFor(n, workers, func(_, lo, hi int) {
-		applyPassAccept(c, x, sc.prop, sc.pass, lo, hi)
-	})
+	sc.use(c, true, workers).Round(x, seed, round)
 }
 
 // --- Source-driven chains (sequential baselines) -----------------------
@@ -244,12 +256,11 @@ type Sampler struct {
 	X []int
 	r *rng.Source
 
-	beta  []float64
-	marg  []float64
-	prop  []int
-	pass  []bool
-	coins []float64
-	ms    margScratch
+	beta []float64
+	marg []float64
+	prop []int
+	pass []bool
+	ms   margScratch
 }
 
 // NewSampler returns a Sampler with the given initial configuration (copied)
@@ -259,15 +270,14 @@ func NewSampler(c *CSP, init []int, seed uint64) *Sampler {
 		panic("csp: initial configuration has wrong length")
 	}
 	s := &Sampler{
-		C:     c,
-		X:     append([]int(nil), init...),
-		r:     rng.New(seed),
-		beta:  make([]float64, c.N),
-		marg:  make([]float64, c.Q),
-		prop:  make([]int, c.N),
-		pass:  make([]bool, len(c.Cons)),
-		coins: make([]float64, len(c.Cons)),
-		ms:    newMargScratch(c),
+		C:    c,
+		X:    append([]int(nil), init...),
+		r:    rng.New(seed),
+		beta: make([]float64, c.N),
+		marg: make([]float64, c.Q),
+		prop: make([]int, c.N),
+		pass: make([]bool, len(c.Cons)),
+		ms:   newMargScratch(c),
 	}
 	return s
 }
@@ -276,7 +286,7 @@ func NewSampler(c *CSP, init []int, seed uint64) *Sampler {
 // random vertex (the sequential baseline).
 func (s *Sampler) GlauberStep() {
 	v := s.r.Intn(s.C.N)
-	if s.C.marginalInto(v, s.X, s.marg, &s.ms) {
+	if s.C.marginalInto(&s.C.band, v, s.X, s.marg, &s.ms) {
 		s.X[v] = s.r.Categorical(s.marg)
 	}
 }
@@ -293,10 +303,10 @@ func (s *Sampler) LubyGlauberStep() {
 	// Strongly independent vertices never share a constraint, so no updated
 	// vertex reads another updated vertex: in-place resampling is exact.
 	for v := 0; v < c.N; v++ {
-		if !betaLocalMax(s.beta, v, c.Neighborhood(v)) {
+		if !graph.BetaLocalMax(s.beta, v, c.Neighborhood(v)) {
 			continue
 		}
-		if c.marginalInto(v, s.X, s.marg, &s.ms) {
+		if c.marginalInto(&c.band, v, s.X, s.marg, &s.ms) {
 			s.X[v] = s.r.Categorical(s.marg)
 		}
 	}
@@ -313,8 +323,7 @@ func (s *Sampler) LocalMetropolisStep() {
 		s.prop[v] = s.r.Categorical(s.marg)
 	}
 	for ci := range c.Cons {
-		s.coins[ci] = s.r.Float64()
-		s.pass[ci] = s.coins[ci] < c.CheckProbOn(ci, s.X, s.prop, c.scope(int32(ci)), s.ms.eval)
+		s.pass[ci] = s.r.Float64() < c.checkProbOn(ci, s.X, s.prop, c.scope(int32(ci)), s.ms.eval)
 	}
-	applyPassAccept(c, s.X, s.prop, s.pass, 0, c.N)
+	acceptPass(&c.band, s.X, s.prop, s.pass, 0, c.N)
 }

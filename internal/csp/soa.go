@@ -1,7 +1,6 @@
 // Structure-of-arrays multi-chain round engine for the hypergraph
-// LubyGlauber kernel: the CSP analogue of chains.SoABlock (csp cannot
-// import chains — see betaLocalMax — so the block is mirrored here with
-// the hypergraph walk substituted for the CSR walk).
+// LubyGlauber kernel: the CSP analogue of chains.SoABlock, with the
+// hypergraph walk substituted for the CSR walk.
 //
 // Chain state is stored [variable][chain] — lane c's value at variable v
 // is x[v*W+c] in a flat []int32 — so one pass over the constraint
@@ -9,7 +8,7 @@
 // marginal with contiguous loads. The expensive per-marginal work,
 // hoisting each incident constraint's mixed-radix base index, is where
 // batching pays most here: the scope walk that computes it touches the
-// same scopeV/conTab rows for every chain, and the SoA block re-walks
+// same scope/conTab rows for every chain, and the SoA block re-walks
 // them with the indices hot in cache W times back-to-back instead of
 // once per chain per full-batch pass.
 //
@@ -142,12 +141,12 @@ func (b *SoABlock) Step() {
 		full = (uint64(1) << w) - 1
 	}
 	for v := 0; v < n; v++ {
-		// Luby membership per lane, betaLocalMax's strict tie-break:
+		// Luby membership per lane, graph.BetaLocalMax's strict tie-break:
 		// lane i survives iff beta[v] > beta[u] for every hypergraph
 		// neighbor u.
 		mask := full
 		vrow := beta[v*w : v*w+w]
-		for _, u := range c.nbrIdx[c.nbrOff[v]:c.nbrOff[v+1]] {
+		for _, u := range c.Neighborhood(v) {
 			urow := beta[int(u)*w : int(u)*w+w]
 			rem := mask
 			for rem != 0 {
@@ -178,7 +177,7 @@ func (b *SoABlock) Step() {
 // zero-short-circuit — bit-identical weights, with the flat-configuration
 // writes (set σ_v = a, restore) replaced by an explicit spin override.
 func (c *CSP) marginalLaneInto(x []int32, w, lane, v int, out []float64, ms *margScratch) bool {
-	cons := c.vconsIdx[c.vconsOff[v]:c.vconsOff[v+1]]
+	cons := c.ConstraintsOf(v)
 	b := c.VertexB[v]
 	for i, ci := range cons {
 		ti := c.conTab[ci]
@@ -229,7 +228,7 @@ func (c *CSP) marginalLaneInto(x []int32, w, lane, v int, out []float64, ms *mar
 }
 
 // evalLane evaluates non-tabulated constraint ci's closure on lane's
-// configuration with σ_v = a: the gather EvalOn performs, reading
+// configuration with σ_v = a: the gather evalOn performs, reading
 // strided lane state with the spin override applied in place of the
 // flat-configuration write.
 func (c *CSP) evalLane(ci int, x []int32, w, lane, v, a int, buf []int) float64 {

@@ -9,12 +9,19 @@
 // filter coins attach to edge IDs, not endpoint pairs.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // Edge is an undirected edge between vertices U and V (U == V is rejected by
-// Builder; self-loops never arise in the paper's models).
+// Builder; self-loops never arise in the paper's models). ID is the edge's
+// index in its graph's edge list; it keys the edge's activity and its
+// shared filter coin, so a Band keeps it global while renumbering U and V.
 type Edge struct {
 	U, V int32
+	ID   int32
 }
 
 // Other returns the endpoint of e opposite to v.
@@ -33,20 +40,20 @@ type Graph struct {
 	edges []Edge
 	// The adjacency is stored in compressed-sparse-row form: rowPtr has
 	// n+1 entries and vertex v's incident slots occupy [rowPtr[v],
-	// rowPtr[v+1]) of the flat arrays. The hot loops of internal/chains
-	// sweep the whole vertex set every round, so keeping all neighbor and
-	// edge-ID data in two contiguous arrays (rather than n separately
-	// allocated lists) is what makes those sweeps cache-friendly.
+	// rowPtr[v+1]) of the flat arrays — nbrFlat lists the neighbors, one
+	// entry per incident edge (parallel edges contribute multiple
+	// entries), and incFlat the incident edge IDs aligned with them. The
+	// hot loops of internal/chains sweep the whole vertex set every round,
+	// so keeping all neighbor and edge-ID data in two contiguous arrays
+	// (rather than n separately allocated lists) is what makes those
+	// sweeps cache-friendly.
 	rowPtr  []int32
 	nbrFlat []int32
 	incFlat []int32
-	// adj[v] and inc[v] are views into nbrFlat/incFlat, kept so callers
-	// keep the slice-per-vertex API: adj[v] lists the neighbors of v, one
-	// entry per incident edge (parallel edges contribute multiple
-	// entries), and inc[v] lists the incident edge IDs aligned with it.
-	adj    [][]int32
-	inc    [][]int32
-	maxDeg int
+	maxDeg  int
+
+	bandOnce sync.Once
+	band     *Band
 }
 
 // Builder accumulates edges and produces an immutable Graph.
@@ -73,8 +80,9 @@ func (b *Builder) AddEdge(u, v int) int {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at %d", u))
 	}
-	b.edges = append(b.edges, Edge{U: int32(u), V: int32(v)})
-	return len(b.edges) - 1
+	id := len(b.edges)
+	b.edges = append(b.edges, Edge{U: int32(u), V: int32(v), ID: int32(id)})
+	return id
 }
 
 // Build finalizes the graph, laying the adjacency out in CSR form.
@@ -84,12 +92,10 @@ func (b *Builder) Build() *Graph {
 	}
 	g := &Graph{
 		n:       b.n,
-		edges:   append([]Edge(nil), b.edges...),
+		edges:   append(make([]Edge, 0, len(b.edges)), b.edges...),
 		rowPtr:  make([]int32, b.n+1),
 		nbrFlat: make([]int32, 2*len(b.edges)),
 		incFlat: make([]int32, 2*len(b.edges)),
-		adj:     make([][]int32, b.n),
-		inc:     make([][]int32, b.n),
 	}
 	deg := make([]int32, b.n)
 	for _, e := range g.edges {
@@ -112,10 +118,6 @@ func (b *Builder) Build() *Graph {
 		g.incFlat[cursor[e.V]] = int32(id)
 		cursor[e.V]++
 	}
-	for v := 0; v < b.n; v++ {
-		g.adj[v] = g.nbrFlat[g.rowPtr[v]:g.rowPtr[v+1]:g.rowPtr[v+1]]
-		g.inc[v] = g.incFlat[g.rowPtr[v]:g.rowPtr[v+1]:g.rowPtr[v+1]]
-	}
 	return g
 }
 
@@ -132,18 +134,18 @@ func (g *Graph) Edge(id int) Edge { return g.edges[id] }
 func (g *Graph) Edges() []Edge { return g.edges }
 
 // Deg returns the degree of v (parallel edges counted with multiplicity).
-func (g *Graph) Deg(v int) int { return len(g.adj[v]) }
+func (g *Graph) Deg(v int) int { return int(g.rowPtr[v+1] - g.rowPtr[v]) }
 
 // MaxDeg returns the maximum degree Δ of the graph.
 func (g *Graph) MaxDeg() int { return g.maxDeg }
 
 // Adj returns the neighbor list of v (one entry per incident edge). The
 // caller must not modify it.
-func (g *Graph) Adj(v int) []int32 { return g.adj[v] }
+func (g *Graph) Adj(v int) []int32 { return g.nbrFlat[g.rowPtr[v]:g.rowPtr[v+1]:g.rowPtr[v+1]] }
 
 // Inc returns the incident-edge-ID list of v, aligned with Adj(v). The
 // caller must not modify it.
-func (g *Graph) Inc(v int) []int32 { return g.inc[v] }
+func (g *Graph) Inc(v int) []int32 { return g.incFlat[g.rowPtr[v]:g.rowPtr[v+1]:g.rowPtr[v+1]] }
 
 // CSR exposes the flat compressed-sparse-row adjacency: vertex v's incident
 // slots occupy [rowPtr[v], rowPtr[v+1]) of nbr (neighbor vertex per slot)
@@ -162,7 +164,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if g.Deg(a) > g.Deg(b) {
 		a, b = b, a
 	}
-	for _, w := range g.adj[a] {
+	for _, w := range g.Adj(a) {
 		if int(w) == b {
 			return true
 		}
@@ -173,25 +175,9 @@ func (g *Graph) HasEdge(u, v int) bool {
 // SimpleNeighbors returns the deduplicated sorted neighbor set of v (useful
 // on multigraphs, where Adj may repeat vertices).
 func (g *Graph) SimpleNeighbors(v int) []int32 {
-	seen := make(map[int32]struct{}, len(g.adj[v]))
-	out := make([]int32, 0, len(g.adj[v]))
-	for _, u := range g.adj[v] {
-		if _, ok := seen[u]; !ok {
-			seen[u] = struct{}{}
-			out = append(out, u)
-		}
-	}
-	sortInt32(out)
-	return out
-}
-
-func sortInt32(a []int32) {
-	// Insertion sort: neighbor lists are short in every workload here.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
+	out := slices.Clone(g.Adj(v))
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // BFS performs a breadth-first search from src and returns the distance
@@ -207,7 +193,7 @@ func (g *Graph) BFS(src int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, u := range g.adj[v] {
+		for _, u := range g.Adj(int(v)) {
 			if dist[u] == -1 {
 				dist[u] = dist[v] + 1
 				queue = append(queue, u)
@@ -316,7 +302,7 @@ func (g *Graph) IsDominatingSet(sigma []int) bool {
 			continue
 		}
 		dominated := false
-		for _, u := range g.adj[v] {
+		for _, u := range g.Adj(v) {
 			if sigma[u] == 1 {
 				dominated = true
 				break
@@ -359,7 +345,7 @@ func (g *Graph) GreedyColoring() (colors []int, used int) {
 		for i := range taken {
 			taken[i] = false
 		}
-		for _, u := range g.adj[v] {
+		for _, u := range g.Adj(v) {
 			if c := colors[u]; c >= 0 {
 				taken[c] = true
 			}
@@ -412,7 +398,7 @@ func (g *Graph) ConnectedComponents() (comp []int, count int) {
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
-			for _, u := range g.adj[v] {
+			for _, u := range g.Adj(int(v)) {
 				if comp[u] == -1 {
 					comp[u] = count
 					queue = append(queue, u)

@@ -90,10 +90,11 @@ type MRF struct {
 	// rng.CategoricalCumU instead of linearly re-summing the row —
 	// bit-identical indices, O(log q) instead of O(q) at large q.
 	propCum []float64
-	// rowPtr/nbr/inc alias the graph's flat CSR adjacency (graph.CSR). The
-	// marginal kernel walks them directly instead of fetching the per-vertex
-	// Adj/Inc slice headers on the n-sweep hot paths.
-	rowPtr, nbr, inc []int32
+	// band is the graph's centralized band (graph.Band), built once here:
+	// the marginal kernels walk its flat CSR rows directly instead of
+	// fetching the per-vertex Adj/Inc slice headers on the n-sweep hot
+	// paths.
+	band *graph.Band
 	// coloring memoizes IsColoringModel: the answer is an O(m·q²)
 	// activity scan, and samplers consult it per construction — serving
 	// paths that build a chain per draw were paying the scan per draw.
@@ -189,7 +190,7 @@ func New(g *graph.Graph, q int, edgeA []*Mat, vertexB [][]float64) (*MRF, error)
 		}
 		rng.CumSumInto(row, m.propCum[v*q:(v+1)*q])
 	}
-	m.rowPtr, m.nbr, m.inc = g.CSR()
+	m.band = g.Band()
 	m.coloring = m.isColoringModel()
 	return m, nil
 }
@@ -207,12 +208,17 @@ func MustNew(g *graph.Graph, q int, edgeA []*Mat, vertexB [][]float64) *MRF {
 // N returns the number of vertices.
 func (m *MRF) N() int { return m.G.N() }
 
+// Band returns the model's centralized band: the graph's band, which every
+// centralized round kernel runs on. Callers must not modify it.
+func (m *MRF) Band() *graph.Band { return m.band }
+
 // NormalizedEdge returns Ã_e = A_e / max(A_e) for the given edge ID. The
 // caller must not modify it: edges sharing an activity matrix share the
 // normalized table.
 func (m *MRF) NormalizedEdge(id int) *Mat { return m.edgeNorm[id] }
 
-// Weight returns w(σ) per Eq. (1). Zero means infeasible.
+// Weight returns w(σ) per Eq. (1). The product underflows to 0 on large
+// graphs, so test feasibility with Feasible, not Weight(σ) > 0.
 func (m *MRF) Weight(sigma []int) float64 {
 	w := 1.0
 	for id, e := range m.G.Edges() {
@@ -251,9 +257,22 @@ func (m *MRF) LogWeight(sigma []int) float64 {
 	return lw
 }
 
-// Feasible reports whether w(σ) > 0.
+// Feasible reports whether w(σ) > 0, i.e. whether every factor of Eq. (1)
+// is positive. It tests the factors one at a time instead of taking their
+// product, which underflows to 0 on large graphs even when every factor is
+// positive.
 func (m *MRF) Feasible(sigma []int) bool {
-	return m.Weight(sigma) > 0
+	for _, e := range m.G.Edges() {
+		if m.EdgeA[e.ID].At(sigma[e.U], sigma[e.V]) == 0 {
+			return false
+		}
+	}
+	for v, b := range m.VertexB {
+		if b[sigma[v]] == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // MarginalInto fills out (length Q) with the conditional marginal
@@ -263,44 +282,56 @@ func (m *MRF) Feasible(sigma []int) bool {
 //
 // normalized to sum to 1. It returns false when the total mass is zero
 // (the marginal is undefined — the Glauber assumption of §3 fails at this
-// configuration), in which case out is left unspecified.
-// The body is a flat CSR kernel: it walks the graph's compressed adjacency
-// arrays directly rather than fetching the per-vertex Adj/Inc slice headers,
-// because the chains sweep all n vertices every round through this function.
-// The per-slot multiplication order, the zero-skip, and the normalization
-// are exactly those of the pre-fusion implementation (pinned bit-identical
-// by TestMarginalIntoMatchesReference), which is what keeps sharded and
-// parallel trajectories byte-equal to the centralized chain.
+// configuration), in which case out is left unspecified. It is
+// BandMarginalInto over the centralized band.
 func (m *MRF) MarginalInto(v int, x []int, out []float64) bool {
-	b := m.VertexB[v]
+	return m.BandMarginalInto(m.band, v, x, out)
+}
+
+// BandMarginalInto is MarginalInto for owned vertex v of band b, reading
+// the band-local configuration x. It is the one marginal kernel: every
+// heat-bath round, centralized, vertex-parallel or sharded, calls it. It
+// walks the band's flat CSR row; the per-slot multiplication order (the
+// global slot order, which every band preserves), the zero-skip and the
+// normalization are exactly those of the pre-fusion implementation (pinned
+// bit-identical by TestMarginalIntoMatchesReference), which is what keeps
+// sharded and parallel trajectories byte-equal to the centralized chain.
+func (m *MRF) BandMarginalInto(b *graph.Band, v int, x []int, out []float64) bool {
+	bv := m.VertexB[b.Global[v]]
 	q := m.Q
 	for c := 0; c < q; c++ {
-		out[c] = b[c]
+		out[c] = bv[c]
 	}
-	for t, end := m.rowPtr[v], m.rowPtr[v+1]; t < end; t++ {
-		a := m.EdgeA[m.inc[t]].A
-		xu := x[m.nbr[t]]
+	for t, end := b.RowPtr[v], b.RowPtr[v+1]; t < end; t++ {
+		a := m.EdgeA[b.Edges[b.EdgeSlot[t]].ID].A
+		xu := x[b.Nbr[t]]
 		for c := 0; c < q; c++ {
 			if out[c] != 0 {
 				out[c] *= a[c*q+xu]
 			}
 		}
 	}
+	return normalize(out[:q])
+}
+
+// normalize scales the unnormalized marginal out to sum to 1, reporting
+// false when its mass is zero (the marginal is undefined).
+func normalize(out []float64) bool {
 	total := 0.0
-	for c := 0; c < q; c++ {
-		total += out[c]
+	for _, w := range out {
+		total += w
 	}
 	if total <= 0 {
 		return false
 	}
 	inv := 1 / total
-	for c := 0; c < q; c++ {
+	for c := range out {
 		out[c] *= inv
 	}
 	return true
 }
 
-// ResampleU is the fused heat-bath kernel the round kernels call: it
+// ResampleU is the fused heat-bath step of the sequential baselines: it
 // computes vertex v's conditional marginal into scratch (exactly as
 // MarginalInto) and draws from it with the externally supplied uniform u
 // (exactly as rng.CategoricalU over the normalized marginal). ok is false
@@ -326,27 +357,18 @@ func (m *MRF) MarginalLaneInto(v int, x []int32, w, lane int, out []float64) boo
 	for c := 0; c < q; c++ {
 		out[c] = b[c]
 	}
-	for t, end := m.rowPtr[v], m.rowPtr[v+1]; t < end; t++ {
-		a := m.EdgeA[m.inc[t]].A
-		xu := int(x[int(m.nbr[t])*w+lane])
+	// The centralized band's edge slots are the global edge IDs.
+	band := m.band
+	for t, end := band.RowPtr[v], band.RowPtr[v+1]; t < end; t++ {
+		a := m.EdgeA[band.EdgeSlot[t]].A
+		xu := int(x[int(band.Nbr[t])*w+lane])
 		for c := 0; c < q; c++ {
 			if out[c] != 0 {
 				out[c] *= a[c*q+xu]
 			}
 		}
 	}
-	total := 0.0
-	for c := 0; c < q; c++ {
-		total += out[c]
-	}
-	if total <= 0 {
-		return false
-	}
-	inv := 1 / total
-	for c := 0; c < q; c++ {
-		out[c] *= inv
-	}
-	return true
+	return normalize(out[:q])
 }
 
 // ResampleLaneU is ResampleU over one lane of an SoA multi-chain state
@@ -390,8 +412,8 @@ func (m *MRF) ProposalCumRow(v int) []float64 {
 
 // ProposeU draws vertex v's LocalMetropolis proposal from the supplied
 // uniform u, bit-identical to rng.CategoricalU(m.ProposalRow(v), u) but in
-// O(log q) via the precomputed cumulative table. The centralized and sharded
-// round kernels both route proposals through here, so they cannot drift.
+// O(log q) via the precomputed cumulative table. Every LocalMetropolis
+// round kernel routes its proposals through here.
 func (m *MRF) ProposeU(v int, u float64) int {
 	q := m.Q
 	return rng.CategoricalCumU(m.prop[v*q:(v+1)*q], m.propCum[v*q:(v+1)*q], u)

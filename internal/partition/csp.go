@@ -10,81 +10,26 @@
 // CutConstraints counts each spanning scope once.
 package partition
 
-import (
-	"fmt"
-	"slices"
-	"sort"
+import "locsample/internal/csp"
 
-	"locsample/internal/csp"
-)
-
-// CSPShard is one worker's slice of a CSP. Local vertex indices come in two
-// bands: [0, NOwned) are the owned vertices in ascending global order,
-// [NOwned, len(Global)) are halo copies in ascending global order.
+// CSPShard is one worker's slice of a CSP: a csp.Band over the vertices it
+// owns (local indices [0, NOwned) owned ascending, then the halo
+// ascending) plus the maps that refresh the halo every round.
 type CSPShard struct {
 	// ID is the shard's index in the plan.
 	ID int
-	// NOwned is the number of vertices this shard owns.
-	NOwned int
-	// Global maps local vertex indices to global vertex IDs.
-	Global []int32
-
-	// NbrPtr/Nbr is the hypergraph-neighborhood CSR of the owned rows:
-	// owned vertex v's Γ(v) occupies Nbr[NbrPtr[v]:NbrPtr[v+1]] as local
-	// indices, in the global Γ order (ascending global ID).
-	NbrPtr []int32
-	Nbr    []int32
-
-	// ConID lists every constraint whose scope touches an owned vertex,
-	// ascending by global constraint index; ConID[slot] keys the shared PRF
-	// coin and the compiled table. ConPtr/ConScope hold the scopes as local
-	// vertex indices, in the constraint's own scope order.
-	ConID    []int32
-	ConPtr   []int32
-	ConScope []int32
-
-	// VconPtr/Vcon is the owned-vertex → local-constraint-slot CSR, in
-	// ascending global constraint order — the multiplication order of the
-	// centralized conditional marginal.
-	VconPtr []int32
-	Vcon    []int32
-
-	// SendTo[j] lists the owned local indices whose post-round values this
-	// shard sends to shard j; RecvFrom[j] lists the halo local indices this
-	// shard overwrites with shard j's message. The maps are symmetric and
-	// aligned exactly as in the MRF Plan.
-	SendTo   [][]int32
-	RecvFrom [][]int32
-	// Neighbors lists the shards this shard exchanges with, ascending.
-	Neighbors []int
+	csp.Band
+	*Halo
 }
-
-// NLocal returns the number of local vertices (owned + halo).
-func (s *CSPShard) NLocal() int { return len(s.Global) }
-
-// NHalo returns the number of halo copies this shard holds.
-func (s *CSPShard) NHalo() int { return len(s.Global) - s.NOwned }
 
 // CSPPlan is a compiled partition of a CSP's vertices into k shards.
 type CSPPlan struct {
-	// K is the shard count.
-	K int
-	// Strategy and Seed are the inputs the ownership assignment was grown
-	// from (Seed only matters for BFS).
-	Strategy Strategy
-	Seed     uint64
-	// N is the partitioned CSP's vertex count.
-	N int
-	// Owner[v] is the shard owning global vertex v.
-	Owner []int32
+	Layout
 	// Shards are the per-worker slices.
 	Shards []*CSPShard
 	// CutConstraints counts constraints whose scope spans several owners
 	// (each is checked redundantly on every incident shard).
 	CutConstraints int
-	// HaloCopies is the total number of halo slots across all shards — the
-	// number of vertex states crossing shard boundaries per exchange.
-	HaloCopies int
 }
 
 // BuildCSP compiles a k-way partition of CSP c over its constraint
@@ -93,189 +38,84 @@ type CSPPlan struct {
 // planner, which partition a chain runs on never affects its output, only
 // its boundary traffic.
 func BuildCSP(c *csp.CSP, k int, strat Strategy, seed uint64) (*CSPPlan, error) {
-	n := c.N
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("partition: need 1 <= shards <= %d vertices, got %d", n, k)
+	p := &CSPPlan{}
+	globals, nOwned, err := p.Layout.build(c.N, k, strat, seed, func(v int32) []int32 { return c.Neighborhood(int(v)) })
+	if err != nil {
+		return nil, err
 	}
-	owner := make([]int32, n)
-	switch strat {
-	case Range:
-		for v := 0; v < n; v++ {
-			owner[v] = int32(v * k / n)
+	p.Shards = make([]*CSPShard, k)
+	// Each shard's constraints, ascending: every constraint whose scope
+	// touches an owned vertex (all its scope members are then local — in
+	// Γ(owned) ∪ owned).
+	conIDs := make([][]int32, k)
+	last := make([]int32, k) // last constraint appended per shard, +1
+	for ci := range c.Cons {
+		owners := 0
+		for _, u := range c.Cons[ci].Scope {
+			if s := p.Owner[u]; last[s] != int32(ci)+1 {
+				last[s] = int32(ci) + 1
+				conIDs[s] = append(conIDs[s], int32(ci))
+				owners++
+			}
 		}
-	case BFS:
-		growBFS(n, func(v int32) []int32 { return c.Neighborhood(int(v)) }, k, seed, owner)
-	default:
-		return nil, fmt.Errorf("partition: unknown strategy %v", strat)
+		if owners > 1 {
+			p.CutConstraints++
+		}
 	}
-	p := &CSPPlan{K: k, Strategy: strat, Seed: seed, N: n, Owner: owner}
-	p.assemble(c)
+	localOf := make([]int32, c.N)
+	conSlot := make([]int32, len(c.Cons))
+	for s := range p.Shards {
+		p.Shards[s] = &CSPShard{ID: s, Band: cspBandOf(c, globals[s], nOwned[s], conIDs[s], localOf, conSlot), Halo: &p.halos[s]}
+	}
 	return p, nil
 }
 
-// NeighborLists returns the plan's shard adjacency in the shape the
-// transport constructors take; the rows alias the shards' neighbor
-// slices and must not be mutated.
-func (p *CSPPlan) NeighborLists() [][]int {
-	out := make([][]int, p.K)
-	for s, sh := range p.Shards {
-		out[s] = sh.Neighbors
-	}
-	return out
-}
-
-// assemble builds the per-shard slices, halo bands, and exchange maps from
-// the ownership assignment.
-func (p *CSPPlan) assemble(c *csp.CSP) {
-	n, k := p.N, p.K
-	ownedOf := make([][]int32, k)
-	counts := make([]int, k)
-	for _, o := range p.Owner {
-		counts[o]++
-	}
-	for s := 0; s < k; s++ {
-		ownedOf[s] = make([]int32, 0, counts[s])
-	}
-	for v := 0; v < n; v++ {
-		ownedOf[p.Owner[v]] = append(ownedOf[p.Owner[v]], int32(v)) // ascending
+// cspBandOf builds c's band over the local vertex list global (owned
+// first) and the constraints cons (ascending). localOf (length n) and
+// conSlot (one entry per constraint) are scratch shared across shards:
+// every entry read is written for the current band first.
+func cspBandOf(c *csp.CSP, global []int32, nOwned int, cons, localOf, conSlot []int32) csp.Band {
+	b := csp.Band{Global: global, NOwned: nOwned, ConID: cons}
+	owned := global[:nOwned]
+	for l, v := range global {
+		localOf[v] = int32(l)
 	}
 
-	// Scratch shared across shards: localOf is only read at indices set
-	// while building the current shard; constraint stamps carry a shard
-	// epoch so no per-shard reset is needed.
-	localOf := make([]int32, n)
-	conStamp := make([]int32, len(c.Cons))
-	conSlot := make([]int32, len(c.Cons))
-	for i := range conStamp {
-		conStamp[i] = -1
+	// Hypergraph-neighborhood CSR over owned rows.
+	b.RowPtr = make([]int32, nOwned+1)
+	for i, v := range owned {
+		b.RowPtr[i+1] = b.RowPtr[i] + int32(len(c.Neighborhood(int(v))))
+	}
+	b.Nbr = make([]int32, 0, b.RowPtr[nOwned])
+	for _, v := range owned {
+		for _, u := range c.Neighborhood(int(v)) {
+			b.Nbr = append(b.Nbr, localOf[u])
+		}
 	}
 
-	p.Shards = make([]*CSPShard, k)
-	for s := 0; s < k; s++ {
-		owned := ownedOf[s]
-		sh := &CSPShard{ID: s, NOwned: len(owned)}
-
-		// Halo: out-of-shard hypergraph neighbors of owned vertices,
-		// sort+dedupe over the Γ incidence (the same allocation-light
-		// construction as csp.buildIndexes).
-		var halo []int32
-		for _, v := range owned {
-			for _, u := range c.Neighborhood(int(v)) {
-				if p.Owner[u] != int32(s) {
-					halo = append(halo, u)
-				}
-			}
+	b.ConPtr = make([]int32, len(b.ConID)+1)
+	for slot, ci := range b.ConID {
+		conSlot[ci] = int32(slot)
+		b.ConPtr[slot+1] = b.ConPtr[slot] + int32(len(c.Cons[ci].Scope))
+	}
+	b.ConScope = make([]int32, 0, b.ConPtr[len(b.ConID)])
+	for _, ci := range b.ConID {
+		for _, u := range c.Cons[ci].Scope {
+			b.ConScope = append(b.ConScope, localOf[u])
 		}
-		slices.Sort(halo)
-		halo = slices.Compact(halo)
-
-		sh.Global = make([]int32, 0, len(owned)+len(halo))
-		sh.Global = append(sh.Global, owned...)
-		sh.Global = append(sh.Global, halo...)
-		for i, v := range owned {
-			localOf[v] = int32(i)
-		}
-		for i, u := range halo {
-			localOf[u] = int32(len(owned) + i)
-		}
-
-		// Hypergraph-neighborhood CSR over owned rows.
-		sh.NbrPtr = make([]int32, len(owned)+1)
-		for i, v := range owned {
-			sh.NbrPtr[i+1] = sh.NbrPtr[i] + int32(len(c.Neighborhood(int(v))))
-		}
-		sh.Nbr = make([]int32, sh.NbrPtr[len(owned)])
-		pos := 0
-		for _, v := range owned {
-			for _, u := range c.Neighborhood(int(v)) {
-				sh.Nbr[pos] = localOf[u]
-				pos++
-			}
-		}
-
-		// Local constraint set: every constraint touching an owned vertex,
-		// ascending by global index (all scope members are local — a scope
-		// member of a constraint with an owned member is in Γ(owned) ∪
-		// owned).
-		var cons []int32
-		for _, v := range owned {
-			for _, ci := range c.ConstraintsOf(int(v)) {
-				if conStamp[ci] != int32(s) {
-					conStamp[ci] = int32(s)
-					cons = append(cons, ci)
-				}
-			}
-		}
-		sort.Slice(cons, func(i, j int) bool { return cons[i] < cons[j] })
-		sh.ConID = cons
-		sh.ConPtr = make([]int32, len(cons)+1)
-		for slot, ci := range cons {
-			conSlot[ci] = int32(slot)
-			sh.ConPtr[slot+1] = sh.ConPtr[slot] + int32(len(c.Cons[ci].Scope))
-		}
-		sh.ConScope = make([]int32, sh.ConPtr[len(cons)])
-		pos = 0
-		for _, ci := range cons {
-			for _, u := range c.Cons[ci].Scope {
-				sh.ConScope[pos] = localOf[u]
-				pos++
-			}
-		}
-
-		// Owned-vertex incidence, ascending global constraint order (the
-		// global ConstraintsOf order, mapped through the slot table).
-		sh.VconPtr = make([]int32, len(owned)+1)
-		for i, v := range owned {
-			sh.VconPtr[i+1] = sh.VconPtr[i] + int32(len(c.ConstraintsOf(int(v))))
-		}
-		sh.Vcon = make([]int32, sh.VconPtr[len(owned)])
-		pos = 0
-		for _, v := range owned {
-			for _, ci := range c.ConstraintsOf(int(v)) {
-				sh.Vcon[pos] = conSlot[ci]
-				pos++
-			}
-		}
-
-		p.Shards[s] = sh
-		p.HaloCopies += len(halo)
 	}
 
-	// Exchange maps: identical lockstep construction to the MRF plan —
-	// iterating receivers in shard order and halo slots in ascending global
-	// order appends to SendTo and RecvFrom in matching positions.
-	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
-		sh.SendTo = make([][]int32, k)
-		sh.RecvFrom = make([][]int32, k)
+	// Owned-vertex incidence, ascending global constraint order (the
+	// global ConstraintsOf order, mapped through the slot table).
+	b.VconPtr = make([]int32, nOwned+1)
+	for i, v := range owned {
+		b.VconPtr[i+1] = b.VconPtr[i] + int32(len(c.ConstraintsOf(int(v))))
 	}
-	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
-		for h := sh.NOwned; h < len(sh.Global); h++ {
-			u := sh.Global[h]
-			j := p.Owner[u]
-			js := p.Shards[j]
-			lu := int32(sort.Search(js.NOwned, func(i int) bool { return js.Global[i] >= u }))
-			js.SendTo[s] = append(js.SendTo[s], lu)
-			sh.RecvFrom[j] = append(sh.RecvFrom[j], int32(h))
+	b.Vcon = make([]int32, 0, b.VconPtr[nOwned])
+	for _, v := range owned {
+		for _, ci := range c.ConstraintsOf(int(v)) {
+			b.Vcon = append(b.Vcon, conSlot[ci])
 		}
 	}
-	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
-		for j := 0; j < k; j++ {
-			if len(sh.SendTo[j]) > 0 || len(sh.RecvFrom[j]) > 0 {
-				sh.Neighbors = append(sh.Neighbors, j)
-			}
-		}
-	}
-	for i := range c.Cons {
-		scope := c.Cons[i].Scope
-		first := p.Owner[scope[0]]
-		for _, u := range scope[1:] {
-			if p.Owner[u] != first {
-				p.CutConstraints++
-				break
-			}
-		}
-	}
+	return b
 }

@@ -3,14 +3,16 @@
 // immutable description of the split:
 //
 //   - every vertex is owned by exactly one shard;
-//   - each shard carries a CSR subgraph over its owned vertices whose
-//     per-vertex slot order is exactly the global graph's adjacency order
-//     (so shard-local products of edge activities multiply in the same
-//     floating-point order as the centralized chains — a prerequisite for
-//     bit-identical trajectories);
+//   - each shard is a band (graph.Band, csp.Band for CSP plans) over its
+//     owned vertices, whose per-vertex slot order is exactly the global
+//     graph's adjacency order (so shard-local products of edge activities
+//     multiply in the same floating-point order as the centralized chains —
+//     a prerequisite for bit-identical trajectories); with one shard the
+//     band equals the model's centralized band;
 //   - halo vertices — out-of-shard neighbors of owned vertices — get local
-//     copies, and symmetric exchange maps say which owned values each shard
-//     sends to, and which halo slots it receives from, every other shard.
+//     copies, and symmetric exchange maps (Halo) say which owned values
+//     each shard sends to, and which halo slots it receives from, every
+//     other shard. MRF and CSP plans build them with the same code.
 //
 // Plans are pure functions of (graph, k, strategy, seed): building the same
 // partition twice yields identical plans, so a compiled sampler's shard
@@ -22,6 +24,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"locsample/internal/graph"
@@ -74,96 +77,84 @@ func ParseStrategy(s string) (Strategy, error) {
 	}
 }
 
-// Edge is one edge of a shard subgraph: local endpoint indices in the
-// global edge's U/V orientation (the LocalMetropolis filter is not
-// symmetric in its endpoints), plus the global edge ID that keys the
-// shared PRF coin and the activity matrix. Cut edges appear in both
-// incident shards with the same ID, so both evaluate the same filter.
-type Edge struct {
-	U, V int32
-	ID   int32
-}
-
-// Shard is one worker's slice of the graph. Local vertex indices come in
-// two bands: [0, NOwned) are the owned vertices in ascending global order,
-// [NOwned, len(Global)) are halo copies in ascending global order.
-type Shard struct {
-	// ID is the shard's index in the plan.
-	ID int
-	// NOwned is the number of vertices this shard owns.
-	NOwned int
-	// Global maps local vertex indices to global vertex IDs.
-	Global []int32
-
-	// RowPtr/Nbr/EdgeSlot is the CSR adjacency of the owned vertices
-	// (owned rows only): owned vertex v's slots are [RowPtr[v],
-	// RowPtr[v+1]), listing neighbors as local indices and incident edges
-	// as indices into Edges, in the global graph's per-vertex slot order.
-	RowPtr   []int32
-	Nbr      []int32
-	EdgeSlot []int32
-	// Edges lists every edge with at least one owned endpoint, once.
-	Edges []Edge
-
-	// SendTo[j] lists the owned local indices whose post-round values this
-	// shard sends to shard j; RecvFrom[j] lists the halo local indices this
-	// shard overwrites with shard j's message. The maps are symmetric and
-	// aligned: plan.Shards[j].SendTo[i][t] and plan.Shards[i].RecvFrom[j][t]
-	// name the same global vertex.
+// Halo is a shard's halo-exchange maps. SendTo[j] lists the owned local
+// indices whose post-round values the shard sends to shard j; RecvFrom[j]
+// lists the halo local indices it overwrites with shard j's message. The
+// maps are symmetric and aligned: plan.Shards[j].SendTo[i][t] and
+// plan.Shards[i].RecvFrom[j][t] name the same global vertex.
+type Halo struct {
 	SendTo   [][]int32
 	RecvFrom [][]int32
 	// Neighbors lists the shards this shard exchanges with, ascending.
 	Neighbors []int
 }
 
-// NLocal returns the number of local vertices (owned + halo).
-func (s *Shard) NLocal() int { return len(s.Global) }
+// Shard is one worker's slice of the graph: a graph.Band over the vertices
+// it owns (local indices [0, NOwned) owned ascending, then the halo
+// ascending) plus the maps that refresh the halo every round.
+type Shard struct {
+	// ID is the shard's index in the plan.
+	ID int
+	graph.Band
+	*Halo
+}
 
-// NHalo returns the number of halo copies this shard holds.
-func (s *Shard) NHalo() int { return len(s.Global) - s.NOwned }
-
-// Plan is a compiled partition of a graph into k shards.
-type Plan struct {
+// Layout is what MRF and CSP plans share, built by the same code for both:
+// the ownership assignment and every shard's halo-exchange maps.
+type Layout struct {
 	// K is the shard count.
 	K int
 	// Strategy and Seed are the inputs the ownership assignment was grown
 	// from (Seed only matters for BFS).
 	Strategy Strategy
 	Seed     uint64
-	// N is the partitioned graph's vertex count.
+	// N is the partitioned model's vertex count.
 	N int
 	// Owner[v] is the shard owning global vertex v.
 	Owner []int32
+	// HaloCopies is the total number of halo slots across all shards — the
+	// number of vertex states crossing shard boundaries per exchange.
+	HaloCopies int
+
+	halos []Halo // halos[s] is shard s's Halo
+}
+
+// Plan is a compiled partition of a graph into k shards.
+type Plan struct {
+	Layout
 	// Shards are the per-worker subgraphs.
 	Shards []*Shard
 	// CutEdges counts edges whose endpoints live on different shards.
 	CutEdges int
-	// HaloCopies is the total number of halo slots across all shards — the
-	// number of vertex states crossing shard boundaries per exchange.
-	HaloCopies int
 }
 
 // Build compiles a k-way partition of g. It requires 1 <= k <= g.N(), so
 // every shard owns at least one vertex. The result is a pure function of
 // the arguments.
 func Build(g *graph.Graph, k int, strat Strategy, seed uint64) (*Plan, error) {
-	n := g.N()
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("partition: need 1 <= shards <= %d vertices, got %d", n, k)
+	p := &Plan{}
+	globals, nOwned, err := p.Layout.build(g.N(), k, strat, seed, func(v int32) []int32 { return g.Adj(int(v)) })
+	if err != nil {
+		return nil, err
 	}
-	owner := make([]int32, n)
-	switch strat {
-	case Range:
-		for v := 0; v < n; v++ {
-			owner[v] = int32(v * k / n)
+	p.Shards = make([]*Shard, k)
+	// Each shard's edges, ascending by ID: every edge with an owned
+	// endpoint. A cut edge lands in both incident shards, so both evaluate
+	// its filter from the same shared coin.
+	edgeIDs := make([][]int32, k)
+	for _, e := range g.Edges() {
+		su, sv := p.Owner[e.U], p.Owner[e.V]
+		edgeIDs[su] = append(edgeIDs[su], e.ID)
+		if sv != su {
+			edgeIDs[sv] = append(edgeIDs[sv], e.ID)
+			p.CutEdges++
 		}
-	case BFS:
-		growBFS(n, func(v int32) []int32 { return g.Adj(int(v)) }, k, seed, owner)
-	default:
-		return nil, fmt.Errorf("partition: unknown strategy %v", strat)
 	}
-	p := &Plan{K: k, Strategy: strat, Seed: seed, N: n, Owner: owner}
-	p.assemble(g)
+	localOf := make([]int32, g.N())
+	edgeLocal := make([]int32, g.M())
+	for s := range p.Shards {
+		p.Shards[s] = &Shard{ID: s, Band: bandOf(g, globals[s], nOwned[s], edgeIDs[s], localOf, edgeLocal), Halo: &p.halos[s]}
+	}
 	return p, nil
 }
 
@@ -230,10 +221,10 @@ func growBFS(n int, adj func(int32) []int32, k int, seed uint64, owner []int32) 
 // lists the shards s exchanges boundary states with) in the shape the
 // transport constructors take. The rows alias the shards' neighbor
 // slices; callers must not mutate them.
-func (p *Plan) NeighborLists() [][]int {
-	out := make([][]int, p.K)
-	for s, sh := range p.Shards {
-		out[s] = sh.Neighbors
+func (l *Layout) NeighborLists() [][]int {
+	out := make([][]int, l.K)
+	for s := range l.halos {
+		out[s] = l.halos[s].Neighbors
 	}
 	return out
 }
@@ -252,123 +243,104 @@ func AssignShards(k, w int) []int {
 	return assign
 }
 
-// assemble builds the per-shard subgraphs, halo bands, and exchange maps
-// from the ownership assignment.
-func (p *Plan) assemble(g *graph.Graph) {
-	n, k := p.N, p.K
-	ownedOf := make([][]int32, k)
-	counts := make([]int, k)
-	for _, o := range p.Owner {
-		counts[o]++
+// build assigns every vertex of an n-vertex model to one of k shards,
+// growing BFS shards over adj (graph edges, or a CSP's hypergraph
+// neighborhoods Γ), and derives each shard's local vertex list (owned
+// ascending, then the halo — out-of-shard neighbors of owned vertices
+// under adj — ascending), owned count and halo-exchange maps.
+func (l *Layout) build(n, k int, strat Strategy, seed uint64, adj func(int32) []int32) (globals [][]int32, nOwned []int, err error) {
+	if k < 1 || k > n {
+		return nil, nil, fmt.Errorf("partition: need 1 <= shards <= %d vertices, got %d", n, k)
+	}
+	owner := make([]int32, n)
+	switch strat {
+	case Range:
+		for v := 0; v < n; v++ {
+			owner[v] = int32(v * k / n)
+		}
+	case BFS:
+		growBFS(n, adj, k, seed, owner)
+	default:
+		return nil, nil, fmt.Errorf("partition: unknown strategy %v", strat)
+	}
+	*l = Layout{K: k, Strategy: strat, Seed: seed, N: n, Owner: owner, halos: make([]Halo, k)}
+
+	globals = make([][]int32, k)
+	nOwned = make([]int, k)
+	for v, s := range owner {
+		globals[s] = append(globals[s], int32(v)) // ascending global order
+		nOwned[s]++
 	}
 	for s := 0; s < k; s++ {
-		ownedOf[s] = make([]int32, 0, counts[s])
-	}
-	for v := 0; v < n; v++ {
-		s := p.Owner[v]
-		ownedOf[s] = append(ownedOf[s], int32(v)) // ascending global order
-	}
-
-	// Scratch shared across shards: localOf is only read at indices set
-	// while building the current shard (every referenced endpoint is owned
-	// or halo there); edge stamps carry a shard epoch so no per-shard reset
-	// is needed.
-	localOf := make([]int32, n)
-	edgeStamp := make([]int32, g.M())
-	edgeLocal := make([]int32, g.M())
-	for i := range edgeStamp {
-		edgeStamp[i] = -1
-	}
-
-	p.Shards = make([]*Shard, k)
-	for s := 0; s < k; s++ {
-		owned := ownedOf[s]
-		sh := &Shard{ID: s, NOwned: len(owned)}
-
-		// Halo: out-of-shard neighbors of owned vertices, deduplicated and
-		// sorted ascending.
 		var halo []int32
-		seen := make(map[int32]struct{})
-		for _, v := range owned {
-			for _, u := range g.Adj(int(v)) {
-				if p.Owner[u] == int32(s) {
-					continue
-				}
-				if _, ok := seen[u]; !ok {
-					seen[u] = struct{}{}
+		for _, v := range globals[s] {
+			for _, u := range adj(v) {
+				if owner[u] != int32(s) {
 					halo = append(halo, u)
 				}
 			}
 		}
-		sort.Slice(halo, func(i, j int) bool { return halo[i] < halo[j] })
-
-		sh.Global = make([]int32, 0, len(owned)+len(halo))
-		sh.Global = append(sh.Global, owned...)
-		sh.Global = append(sh.Global, halo...)
-		for i, v := range owned {
-			localOf[v] = int32(i)
-		}
-		for i, u := range halo {
-			localOf[u] = int32(len(owned) + i)
-		}
-
-		// CSR over owned rows in the global slot order.
-		sh.RowPtr = make([]int32, len(owned)+1)
-		for i, v := range owned {
-			sh.RowPtr[i+1] = sh.RowPtr[i] + int32(g.Deg(int(v)))
-		}
-		sh.Nbr = make([]int32, sh.RowPtr[len(owned)])
-		sh.EdgeSlot = make([]int32, sh.RowPtr[len(owned)])
-		pos := 0
-		for _, v := range owned {
-			adj, inc := g.Adj(int(v)), g.Inc(int(v))
-			for t := range adj {
-				id := inc[t]
-				if edgeStamp[id] != int32(s) {
-					edgeStamp[id] = int32(s)
-					edgeLocal[id] = int32(len(sh.Edges))
-					ge := g.Edge(int(id))
-					sh.Edges = append(sh.Edges, Edge{U: localOf[ge.U], V: localOf[ge.V], ID: id})
-				}
-				sh.Nbr[pos] = localOf[adj[t]]
-				sh.EdgeSlot[pos] = edgeLocal[id]
-				pos++
-			}
-		}
-		p.Shards[s] = sh
-		p.HaloCopies += len(halo)
+		slices.Sort(halo)
+		halo = slices.Compact(halo)
+		globals[s] = append(globals[s], halo...)
+		l.HaloCopies += len(halo)
 	}
 
 	// Exchange maps. Iterating receivers in shard order and halo slots in
 	// ascending global order appends to SendTo and RecvFrom in lockstep, so
-	// the two sides of every channel agree position-by-position.
-	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
-		sh.SendTo = make([][]int32, k)
-		sh.RecvFrom = make([][]int32, k)
+	// the two sides of every link agree position-by-position.
+	halos := l.halos
+	for s := range halos {
+		halos[s].SendTo = make([][]int32, k)
+		halos[s].RecvFrom = make([][]int32, k)
 	}
 	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
-		for h := sh.NOwned; h < len(sh.Global); h++ {
-			u := sh.Global[h]
-			j := p.Owner[u]
-			js := p.Shards[j]
-			lu := int32(sort.Search(js.NOwned, func(i int) bool { return js.Global[i] >= u }))
-			js.SendTo[s] = append(js.SendTo[s], lu)
-			sh.RecvFrom[j] = append(sh.RecvFrom[j], int32(h))
+		for h := nOwned[s]; h < len(globals[s]); h++ {
+			u := globals[s][h]
+			j := owner[u]
+			lu, _ := slices.BinarySearch(globals[j][:nOwned[j]], u)
+			halos[j].SendTo[s] = append(halos[j].SendTo[s], int32(lu))
+			halos[s].RecvFrom[j] = append(halos[s].RecvFrom[j], int32(h))
 		}
 	}
-	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
+	for s := range halos {
 		for j := 0; j < k; j++ {
-			if len(sh.SendTo[j]) > 0 || len(sh.RecvFrom[j]) > 0 {
-				sh.Neighbors = append(sh.Neighbors, j)
+			if len(halos[s].SendTo[j]) > 0 || len(halos[s].RecvFrom[j]) > 0 {
+				halos[s].Neighbors = append(halos[s].Neighbors, j)
 			}
 		}
 	}
-	for _, e := range g.Edges() {
-		if p.Owner[e.U] != p.Owner[e.V] {
-			p.CutEdges++
+	return globals, nOwned, nil
+}
+
+// bandOf builds g's band over the local vertex list global (owned first)
+// and the edges ids (ascending). localOf (length n) and edgeLocal (length
+// m) are scratch shared across shards: every entry read is written for the
+// current band first.
+func bandOf(g *graph.Graph, global []int32, nOwned int, ids, localOf, edgeLocal []int32) graph.Band {
+	b := graph.Band{Global: global, NOwned: nOwned, RowPtr: make([]int32, nOwned+1)}
+	for l, v := range global {
+		localOf[v] = int32(l)
+	}
+	for i, v := range global[:nOwned] {
+		b.RowPtr[i+1] = b.RowPtr[i] + int32(g.Deg(int(v)))
+	}
+	b.Edges = make([]graph.Edge, len(ids))
+	for le, id := range ids {
+		ge := g.Edge(int(id))
+		b.Edges[le] = graph.Edge{U: localOf[ge.U], V: localOf[ge.V], ID: id}
+		edgeLocal[id] = int32(le)
+	}
+	b.Nbr = make([]int32, b.RowPtr[nOwned])
+	b.EdgeSlot = make([]int32, b.RowPtr[nOwned])
+	pos := 0
+	for _, v := range global[:nOwned] {
+		adj, inc := g.Adj(int(v)), g.Inc(int(v))
+		for t := range adj {
+			b.Nbr[pos] = localOf[adj[t]]
+			b.EdgeSlot[pos] = edgeLocal[inc[t]]
+			pos++
 		}
 	}
+	return b
 }

@@ -224,6 +224,17 @@ func (k RoundKey) FillFloat64s(dst []float64, base uint64) {
 	}
 }
 
+// FillFloat64sAt is FillFloat64s over an explicit ID list: dst[i] receives
+// the uniform for ids[i] (len(ids) >= len(dst)). The band round kernels
+// fill their β priorities keyed by the band's global vertex IDs with it.
+func (k RoundKey) FillFloat64sAt(dst []float64, ids []int32) {
+	prefix, round := k.prefix, k.round
+	for i, id := range ids[:len(dst)] {
+		h := mix(mix(prefix^mix(uint64(id)+golden)) ^ round)
+		dst[i] = float64(h>>11) / (1 << 53)
+	}
+}
+
 // KeysInto hoists one round's key schedule for a block of chains:
 // dst[i] = Key(seeds[i], tag, round). The SoA batch kernels call it once
 // per block per round — W key derivations amortized over one CSR walk
