@@ -4,70 +4,33 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"locsample/internal/chains"
 	"locsample/internal/cluster"
 	"locsample/internal/core"
 	"locsample/internal/diag"
-	"locsample/internal/obs"
 	"locsample/internal/partition"
+	"locsample/internal/transport"
 )
 
-// Sampler is the batch sampling engine: it compiles a model and option set
+// Sampler is the compiled MRF sampler: it compiles a model and option set
 // once — round budget, feasible initial configuration, proposal tables, CSR
 // adjacency, and (with WithShards) the partitioned shard plan — and then
 // draws any number of independent samples without repeating that setup.
-// SampleN spreads chains over a worker pool; each worker owns one reusable
-// chain state and scratch buffer, so the chains' inner loops run
+// Draw (and SampleN) spreads chains over a worker pool; each worker reuses
+// pooled chain state and scratch, so the chains' inner loops run
 // allocation-free in the steady state. With WithShards(k), every chain
 // additionally runs as k lockstep shard workers exchanging only boundary
 // states — within-chain parallelism for single-draw latency on graphs too
 // large for one core.
 //
-// Determinism: chain i of SampleN(k) with master seed s is bit-identical to
-// a single Sample call with seed ChainSeed(s, i), regardless of k, worker
-// count, scheduling, shard count, or partition strategy. Sampler.Sample()
-// is bit-identical to the package level Sample with the same options.
+// Determinism: chain i of a k-chain draw with master seed s is
+// bit-identical to a single Sample call with seed ChainSeed(s, i),
+// regardless of k, worker count, scheduling, shard count, or partition
+// strategy. Sampler.Sample() is bit-identical to the package level Sample
+// with the same options.
 type Sampler struct {
-	m      *Model
-	cfg    core.Config
-	rounds int
-	theory int
-	init   []int
-	// capRounds is the worst-case budget a WithRoundsAuto compile measured
-	// under (0 when the budget was not auto-measured); rounds then holds
-	// the coupling-measured count.
-	capRounds int
-
-	// plan is the compiled shard layout (nil when unsharded). engines
-	// pools reusable cluster engines over it: one engine serves one draw
-	// at a time, and concurrent SampleNFrom calls (the serving path) each
-	// borrow their own.
-	plan    *partition.Plan
-	engines sync.Pool
-	// remote is the cross-process coordinator (nil unless WithRemoteWorkers
-	// placed the shards on lsharded processes). Remote draws are serialized
-	// on its control connections instead of pooled engines.
-	remote *remoteEngine
-	// chainPool pools centralized chain states (with their scratch) across
-	// SampleNFrom calls, so the serving path's steady state — many calls
-	// with small k — constructs and allocates nothing per draw.
-	chainPool sync.Pool
-	// soaPool pools SoA batch blocks across SampleNFrom calls, grow-only
-	// on width: a pooled block serves any batch no wider than it was
-	// built for (lanes pack at the run width), and an undersized one is
-	// dropped and rebuilt wider.
-	soaPool sync.Pool
-
-	// Metric series (nil without WithMetrics). roundObs is the
-	// allocation-free observer pooled chains and engines run with;
-	// mDraws/mDrawNS meter whole draws.
-	mDraws   *obs.Counter
-	mDrawNS  *obs.Histogram
-	roundObs *obs.RoundMetrics
+	drawCore
 }
 
 // ShardStats reports a sharded draw's runtime profile: worker count,
@@ -87,30 +50,6 @@ const (
 	// regions on graphs whose vertex numbering carries no locality.
 	ShardBFS = partition.BFS
 )
-
-// Batch is the result of SampleN: k independent samples drawn from one
-// compiled model. All samples share one flat backing array.
-type Batch struct {
-	// Samples[i] is chain i's output configuration.
-	Samples [][]int
-	// Rounds is the number of chain iterations each chain executed.
-	Rounds int
-	// TheoryRounds is the automatic round budget (0 when WithRounds was
-	// supplied).
-	TheoryRounds int
-	// Stats aggregates communication across all chains of a distributed
-	// batch: message/byte counts are summed, MaxMessageBytes and Rounds
-	// are per-chain maxima. Zero for centralized batches.
-	Stats Stats
-	// Shard aggregates the sharded runtime's profile across all chains
-	// (messages, values, and barrier waits are summed). Zero for
-	// unsharded batches.
-	Shard ShardStats
-	// SoAWidth is the lane width of the SoA block engine the batch ran
-	// through (0 when chains ran the per-chain reference path). Purely
-	// informational: the samples are bit-identical either way.
-	SoAWidth int
-}
 
 // ChainSeed derives the seed batch chain i runs with under master seed s:
 // SampleN chain i equals Sample(WithSeed(ChainSeed(s, i))) bit-for-bit.
@@ -167,828 +106,137 @@ func ParseShardStrategy(s string) (ShardStrategy, error) {
 	return partition.ParseStrategy(s)
 }
 
-// NewSampler compiles model m with the given options into a reusable batch
+// NewSampler compiles model m with the given options into a reusable
 // sampler. The round budget, the greedy feasible initial configuration,
 // and (when sharded) the partition plan are resolved once, here; they are
 // exactly the values every individual Sample call with the same options
 // would resolve.
 func NewSampler(m *Model, opts ...Option) (*Sampler, error) {
+	return compileMRF(m, mrfConfig(opts))
+}
+
+// mrfConfig resolves MRF options into a config.
+func mrfConfig(opts []Option) core.Config {
 	cfg := core.Config{Algorithm: chains.LocalMetropolis}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	return cfg
+}
+
+// compileMRF compiles model m under an already-resolved config — the one
+// constructor behind NewSampler and the one-shot Sample.
+func compileMRF(m *Model, cfg core.Config) (*Sampler, error) {
 	rounds, theory, init, err := core.Compile(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sampler{
-		m:      m,
-		cfg:    cfg,
-		rounds: rounds,
-		theory: theory,
-		// Copied: the caller may mutate the slice it passed WithInitial.
-		init: append([]int(nil), init...),
-	}
-	if cfg.RoundsAuto {
-		// Measure the coupling-coalescence budget once, at compile time,
-		// under the worst-case cap Compile just resolved. The measurement
-		// is centralized and deterministic in (model, init, seed, k, cap),
-		// so every sampler compiled with these options resolves the same
-		// measured count — and a draw at that count is bit-identical to a
-		// WithRounds(measured) draw by construction.
-		d, err := diag.NewCoupledMRF(m, s.init, cfg.Seed, cfg.Algorithm,
-			chains.Options{DropRule3: cfg.DropRule3},
-			diag.Options{Chains: cfg.Coupling, MaxRounds: rounds})
-		if err != nil {
-			return nil, err
-		}
-		s.capRounds = rounds
-		s.rounds = d.RunToCoalescence()
-	}
-	s.mDraws, s.mDrawNS, s.roundObs = newDrawMetrics(cfg.Obs, "mrf")
-	s.chainPool.New = func() any {
-		cs := chains.NewSampler(m, s.init, 0, cfg.Algorithm,
-			chains.Options{DropRule3: cfg.DropRule3, Parallel: cfg.Parallel})
-		if s.roundObs != nil {
-			cs.Obs = s.roundObs
-		}
-		return cs
-	}
-	if cfg.Shards > 1 {
-		if cfg.Distributed {
-			return nil, fmt.Errorf("locsample: Distributed and WithShards are mutually exclusive")
-		}
-		plan, err := partition.Build(m.G, cfg.Shards, cfg.ShardStrategy, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		s.plan = plan
-		if len(cfg.WorkerAddrs) > 0 {
-			// Coordinator mode: the shards live in lsharded processes. The
-			// workers rebuild the model from its wire spec, so derive one
-			// when the caller didn't pin it with WithModelSpec.
-			sp := cfg.ModelSpec
-			if sp == nil {
-				sp, err = NewSpecFromModel(m, "remote")
-				if err != nil {
-					return nil, fmt.Errorf("locsample: remote draws ship the model as a spec: %w", err)
-				}
-			}
-			s.remote, err = newRemoteEngine(remoteJob{
-				kind:      "mrf",
-				spec:      sp,
-				algorithm: cfg.Algorithm.String(),
-				dropRule3: cfg.DropRule3,
-				shards:    cfg.Shards,
-				strategy:  cfg.ShardStrategy.String(),
-				planSeed:  cfg.Seed,
-				init:      s.init,
-				addrs:     cfg.WorkerAddrs,
-			}, mrfOwned(plan), m.G.N(), resolveRetry(&cfg), cfg.StandbyAddrs)
-			if err != nil {
-				return nil, err
-			}
-			s.remote.setObs(cfg.Obs, cfg.Log)
-			return s, nil
-		}
-		newEngine := func() (*cluster.Engine, error) {
-			var eng *cluster.Engine
-			var err error
-			if cfg.Transport != nil {
-				local := make([]int, plan.K)
-				for i := range local {
-					local[i] = i
-				}
-				eng, err = cluster.NewWithTransport(m, plan, cfg.Algorithm, cfg.DropRule3,
-					local, cfg.Transport(plan.NeighborLists()))
-			} else {
-				eng, err = cluster.New(m, plan, cfg.Algorithm, cfg.DropRule3)
-			}
-			if err == nil && s.roundObs != nil {
-				eng.SetObserver(s.roundObs)
-			}
-			return eng, err
-		}
-		// Construct one engine eagerly: it both validates the algorithm
-		// and pre-warms the pool for the first draw.
-		eng, err := newEngine()
-		if err != nil {
-			return nil, err
-		}
-		s.engines.New = func() any {
-			e, err := newEngine()
-			if err != nil {
-				// Unreachable: the eager construction above vetted the
-				// same arguments.
-				panic(err)
-			}
-			return e
-		}
-		s.engines.Put(eng)
+	// Copied: the caller may mutate the slice it passed WithInitial.
+	init = append([]int(nil), init...)
+	s := &Sampler{}
+	if err := s.compile(&mrfFamily{m: m, cfg: cfg, init: init}, "mrf", cfg, init, rounds, theory); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// Close releases the sampler's external resources — the coordinator's
-// control connections when draws run on remote workers. Purely local
-// samplers hold nothing that needs closing; Close is safe either way.
-func (s *Sampler) Close() error {
-	if s.remote != nil {
-		return s.remote.Close()
-	}
-	return nil
-}
-
-// Rounds returns the per-chain round budget the engine resolved.
-func (s *Sampler) Rounds() int { return s.rounds }
-
-// TheoryRounds returns the automatic round budget, or 0 when WithRounds
-// pinned the budget explicitly.
-func (s *Sampler) TheoryRounds() int { return s.theory }
-
-// CapRounds returns the worst-case budget a WithRoundsAuto compile
-// measured under — Rounds() then holds the coupling-measured count.
-// 0 when the budget was not auto-measured.
-func (s *Sampler) CapRounds() int { return s.capRounds }
-
-// Shards returns the shard count draws run with (1 when unsharded).
-func (s *Sampler) Shards() int {
-	if s.plan == nil {
-		return 1
-	}
-	return s.plan.K
-}
-
-// ParallelRounds returns the vertex-parallel worker count each chain's
-// rounds run with (1 when rounds are sequential).
-func (s *Sampler) ParallelRounds() int {
-	if s.cfg.Parallel > 1 {
-		return s.cfg.Parallel
-	}
-	return 1
-}
-
 // Sample draws one configuration with the compiled settings and the master
 // seed, exactly as the package-level Sample would.
-func (s *Sampler) Sample() (*Result, error) {
-	return s.sampleWithSeed(context.Background(), s.cfg.Seed)
-}
+func (s *Sampler) Sample() (*Result, error) { return s.drawOne(context.Background(), s.cfg.Seed, nil) }
 
-// SampleContext is Sample under a context: a cancel or deadline aborts
-// the draw — remote draws unblock their control reads and stop
-// retrying, sharded draws close their engine, centralized chains stop
-// at the next round boundary — and ctx.Err() is returned. Cancellation
-// never yields a partial sample.
+// SampleContext is Sample under a context; cancellation behaves as in
+// Draw and never yields a partial sample.
 func (s *Sampler) SampleContext(ctx context.Context) (*Result, error) {
-	return s.sampleWithSeed(ctx, s.cfg.Seed)
-}
-
-// runChainCtx advances a centralized chain by the compiled budget,
-// honoring ctx: a cancel flips the chain's abort flag so the loop
-// stops at the next round boundary, and the draw returns ctx.Err().
-// Without a cancelable ctx it is exactly cs.Run.
-func runChainCtx(ctx context.Context, cs *chains.Sampler, rounds int) error {
-	if ctx == nil || ctx.Done() == nil {
-		cs.Run(rounds)
-		return nil
-	}
-	var abort atomic.Bool
-	stop := context.AfterFunc(ctx, func() { abort.Store(true) })
-	cs.Abort = &abort
-	cs.Run(rounds)
-	cs.Abort = nil
-	stop()
-	return ctx.Err()
-}
-
-// ctxWatch arms f to run on ctx cancellation; the returned stop
-// releases the watcher. A nil or non-cancelable ctx arms nothing.
-func ctxWatch(ctx context.Context, f func()) func() bool {
-	if ctx == nil || ctx.Done() == nil {
-		return func() bool { return true }
-	}
-	return context.AfterFunc(ctx, f)
-}
-
-func (s *Sampler) sampleWithSeed(ctx context.Context, seed uint64) (*Result, error) {
-	start := time.Now()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if s.remote != nil {
-		out := make([]int, s.m.G.N())
-		st, err := s.remote.draw(ctx, seed, s.rounds, out, nil)
-		if err != nil {
-			return nil, err
-		}
-		s.observeDraw(start)
-		return &Result{
-			Sample:       out,
-			Rounds:       s.rounds,
-			TheoryRounds: s.theory,
-			Shard:        &st,
-		}, nil
-	}
-	if s.plan != nil {
-		eng := s.engines.Get().(*cluster.Engine)
-		// Cancellation closes the engine's transport: the lockstep
-		// workers fail their next exchange and Run returns. The closed
-		// engine is discarded, never re-pooled.
-		stop := ctxWatch(ctx, func() { eng.Close() })
-		out := make([]int, s.m.G.N())
-		st, err := eng.Run(s.init, seed, s.rounds, out)
-		stop()
-		if cerr := ctxErr(ctx); cerr != nil {
-			eng.Close()
-			return nil, cerr
-		}
-		if err != nil {
-			// A failed engine is poisoned (its transport is closed); it
-			// must not go back in the pool.
-			eng.Close()
-			return nil, err
-		}
-		s.engines.Put(eng)
-		s.observeDraw(start)
-		return &Result{
-			Sample:       out,
-			Rounds:       s.rounds,
-			TheoryRounds: s.theory,
-			Shard:        &st,
-		}, nil
-	}
-	if s.cfg.Distributed {
-		cfg := s.cfg
-		cfg.Seed = seed
-		cfg.Rounds = s.rounds // measured count when auto; core re-resolves nothing
-		cfg.RoundsAuto = false
-		cfg.Init = s.init
-		res, err := core.Sample(s.m, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if cerr := ctxErr(ctx); cerr != nil {
-			return nil, cerr
-		}
-		res.TheoryRounds = s.theory
-		s.observeDraw(start)
-		return res, nil
-	}
-	// Centralized draws reuse the pooled chain state (same state SampleN
-	// workers use), so they run instrumented when WithMetrics is set and
-	// allocate only the output slice.
-	cs := s.chainPool.Get().(*chains.Sampler)
-	cs.Reset(s.init, seed)
-	err := runChainCtx(ctx, cs, s.rounds)
-	out := append([]int(nil), cs.X...)
-	s.chainPool.Put(cs)
-	if err != nil {
-		return nil, err
-	}
-	s.observeDraw(start)
-	return &Result{
-		Sample:       out,
-		Rounds:       s.rounds,
-		TheoryRounds: s.theory,
-	}, nil
-}
-
-// observeDraw meters one completed draw (no-op without WithMetrics).
-func (s *Sampler) observeDraw(start time.Time) {
-	if s.mDraws == nil {
-		return
-	}
-	s.mDraws.Inc()
-	s.mDrawNS.Observe(time.Since(start).Nanoseconds())
+	return s.drawOne(ctx, s.cfg.Seed, nil)
 }
 
 // SampleTraced draws one configuration exactly like Sample while
-// recording a timing trace: per-round compute (and, for sharded
-// draws, barrier) spans per shard lane, plus per-worker wire
-// attribution when the draw runs on remote workers. Tracing never
-// perturbs the trajectory — the sample is bit-identical to an
-// untraced draw at the same seed. Render the trace with
-// Trace.WriteChrome for chrome://tracing / Perfetto.
+// recording a timing trace (see DrawRequest.Trace). The sample is
+// bit-identical to an untraced draw at the same seed. Render the trace
+// with Trace.WriteChrome for chrome://tracing / Perfetto.
 func (s *Sampler) SampleTraced() (*Result, *Trace, error) {
-	return s.SampleTracedFrom(s.cfg.Seed)
+	return s.SampleTracedContext(context.Background(), s.cfg.Seed)
 }
 
-// SampleTracedFrom is SampleTraced with an explicit master seed.
-func (s *Sampler) SampleTracedFrom(seed uint64) (*Result, *Trace, error) {
-	return s.SampleTracedContext(context.Background(), seed)
-}
-
-// SampleTracedContext is SampleTracedFrom under a context; a canceled
-// ctx aborts the draw exactly as in SampleContext and returns
-// ctx.Err().
+// SampleTracedContext is SampleTraced under a context, with an explicit
+// seed (used as is, not derived).
 func (s *Sampler) SampleTracedContext(ctx context.Context, seed uint64) (*Result, *Trace, error) {
-	tr := obs.NewTrace("mrf draw")
-	res, err := s.sampleTraced(ctx, seed, tr)
+	tr := s.newTrace()
+	res, err := s.drawOne(ctx, seed, tr)
 	if err != nil {
 		return nil, nil, err
 	}
 	return res, tr, nil
 }
 
-func (s *Sampler) sampleTraced(ctx context.Context, seed uint64, tr *obs.Trace) (*Result, error) {
-	start := time.Now()
-	t0 := tr.Now()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if s.remote != nil {
-		out := make([]int, s.m.G.N())
-		st, err := s.remote.draw(ctx, seed, s.rounds, out, tr)
-		if err != nil {
-			return nil, err
-		}
-		s.observeDraw(start)
-		return &Result{
-			Sample:       out,
-			Rounds:       s.rounds,
-			TheoryRounds: s.theory,
-			Shard:        &st,
-		}, nil
-	}
-	if s.plan != nil {
-		eng := s.engines.Get().(*cluster.Engine)
-		rec := obs.NewRoundRecorder(s.plan.K, s.rounds)
-		eng.SetObserver(&obs.TeeRounds{A: rec, B: s.roundObs})
-		stop := ctxWatch(ctx, func() { eng.Close() })
-		out := make([]int, s.m.G.N())
-		st, err := eng.Run(s.init, seed, s.rounds, out)
-		stop()
-		eng.SetObserver(s.engineObserver())
-		if cerr := ctxErr(ctx); cerr != nil {
-			eng.Close()
-			return nil, cerr
-		}
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		s.engines.Put(eng)
-		rec.FlushTo(tr, 0)
-		s.addDrawSpan(tr, t0, seed, s.plan.K)
-		s.observeDraw(start)
-		return &Result{
-			Sample:       out,
-			Rounds:       s.rounds,
-			TheoryRounds: s.theory,
-			Shard:        &st,
-		}, nil
-	}
-	if s.cfg.Distributed {
-		// The LOCAL-model runtime has no per-round hooks; a traced
-		// distributed draw records only the draw-level span.
-		res, err := s.sampleWithSeed(ctx, seed)
-		if err != nil {
-			return nil, err
-		}
-		s.addDrawSpan(tr, t0, seed, 1)
-		return res, nil
-	}
-	cs := s.chainPool.Get().(*chains.Sampler)
-	rec := obs.NewRoundRecorder(1, s.rounds)
-	prev := cs.Obs
-	cs.Obs = &obs.TeeRounds{A: rec, B: s.roundObs}
-	cs.Reset(s.init, seed)
-	err := runChainCtx(ctx, cs, s.rounds)
-	cs.Obs = prev
-	out := append([]int(nil), cs.X...)
-	s.chainPool.Put(cs)
-	if err != nil {
-		return nil, err
-	}
-	rec.FlushTo(tr, 0)
-	s.addDrawSpan(tr, t0, seed, 1)
-	s.observeDraw(start)
-	return &Result{
-		Sample:       out,
-		Rounds:       s.rounds,
-		TheoryRounds: s.theory,
-	}, nil
-}
-
-// engineObserver is the observer pooled engines idle with (nil unless
-// WithMetrics attached round metrics).
-func (s *Sampler) engineObserver() chains.RoundObserver {
-	if s.roundObs != nil {
-		return s.roundObs
-	}
-	return nil
-}
-
-// addDrawSpan closes a traced local draw with its draw-level span.
-func (s *Sampler) addDrawSpan(tr *obs.Trace, t0 int64, seed uint64, shards int) {
-	span := obs.Span{Name: "draw", PID: 0, TID: 0, StartNS: t0, DurNS: tr.Now() - t0}
-	span.SetArg("seed", int64(seed))
-	span.SetArg("rounds", int64(s.rounds))
-	span.SetArg("shards", int64(shards))
-	tr.Add(span)
-}
-
 // SampleDiagnosed draws one configuration exactly like Sample while
-// running a grand coupling alongside it: WithCoupling(k) chains (default
-// 4) advance from adversarial initial states under the draw's own PRF
-// coins, and the returned Diagnosis carries the per-round mixing series
-// (Hamming disagreement, flip-rate EWMA, per-shard compute/barrier
-// attribution) plus the coalescence verdict. Chain 0 of the coupling IS
-// the draw — it starts from the compiled init with the draw's seed — so
-// the sample is bit-identical to an undiagnosed Sample at the same seed
-// (pinned). Diagnosed draws always run the full compiled budget and run
-// centralized (sharding is a latency runtime, not a distribution one);
-// Result.Shard is therefore nil.
+// running a grand coupling alongside it (see DrawRequest.Diagnose); the
+// sample is bit-identical to an undiagnosed Sample at the same seed.
+// Diagnosed draws run centralized, so Result.Shard is nil.
 func (s *Sampler) SampleDiagnosed() (*Result, *Diagnosis, error) {
-	return s.sampleDiagnosed(s.cfg.Seed, nil)
+	return s.diagnose(context.Background(), s.cfg.Seed, nil)
 }
 
-// SampleDiagnosedFrom is SampleDiagnosed with an explicit master seed.
-func (s *Sampler) SampleDiagnosedFrom(seed uint64) (*Result, *Diagnosis, error) {
-	return s.sampleDiagnosed(seed, nil)
+// mrfFamily is the MRF side of the draw core.
+type mrfFamily struct {
+	m    *Model
+	cfg  core.Config
+	init []int
+	// shards is the compiled shard plan (nil when unsharded).
+	shards *partition.Plan
 }
 
-// SampleDiagnosedObserved is SampleDiagnosedFrom with a per-round probe —
-// the live-streaming seam (the service's SSE endpoint is such a probe).
-// The probe runs on the round hot path; see diag.Probe for the contract.
-func (s *Sampler) SampleDiagnosedObserved(seed uint64, probe CouplingProbe) (*Result, *Diagnosis, error) {
-	return s.sampleDiagnosed(seed, probe)
+func (f *mrfFamily) newChain() *chainState {
+	cs := chains.NewSampler(f.m, f.init, 0, f.cfg.Algorithm,
+		chains.Options{DropRule3: f.cfg.DropRule3, Parallel: f.cfg.Parallel})
+	return &chainState{chainRunner: cs, Hooks: &cs.Hooks, x: cs.X}
 }
 
-func (s *Sampler) sampleDiagnosed(seed uint64, probe diag.Probe) (*Result, *Diagnosis, error) {
-	start := time.Now()
-	d, err := diag.NewCoupledMRF(s.m, s.init, seed, s.cfg.Algorithm,
-		chains.Options{DropRule3: s.cfg.DropRule3},
-		diag.Options{Chains: s.cfg.Coupling, MaxRounds: s.rounds, Probe: probe, Obs: s.engineObserver()})
+func (f *mrfFamily) newBlock(width int) *blockState {
+	b := chains.NewSoABlock(f.m, f.cfg.Algorithm, chains.Options{DropRule3: f.cfg.DropRule3}, width)
+	return &blockState{blockRunner: b, Hooks: &b.Hooks}
+}
+
+func (f *mrfFamily) plan() (*partition.Layout, error) {
+	p, err := partition.Build(f.m.G, f.cfg.Shards, f.cfg.ShardStrategy, f.cfg.Seed)
 	if err != nil {
-		return nil, nil, err
-	}
-	d.Run(s.rounds)
-	out := append([]int(nil), d.X()...)
-	s.observeDraw(start)
-	return &Result{
-		Sample:       out,
-		Rounds:       s.rounds,
-		TheoryRounds: s.theory,
-	}, d.Finish(), nil
-}
-
-// SampleN draws k independent samples concurrently. Chain i runs with seed
-// ChainSeed(masterSeed, i); results are positionally stable, so the same
-// call always returns the same Batch no matter how many workers raced over
-// it. In centralized mode every worker reuses one chain state and scratch,
-// so beyond the k result slices nothing is allocated per chain and nothing
-// at all per round. In sharded mode every worker borrows a pooled cluster
-// engine and each chain runs shard-parallel inside it.
-func (s *Sampler) SampleN(k int) (*Batch, error) {
-	return s.SampleNFrom(s.cfg.Seed, k)
-}
-
-// SampleNFrom is SampleN with an explicit master seed in place of the
-// compiled WithSeed value: chain i runs with ChainSeed(seed, i). It does
-// not mutate the Sampler, so concurrent calls (the serving path, where one
-// compiled sampler answers many requests with per-request seeds) are safe.
-func (s *Sampler) SampleNFrom(seed uint64, k int) (*Batch, error) {
-	return s.SampleNContext(context.Background(), seed, k)
-}
-
-// SampleNContext is SampleNFrom under a context. A cancel aborts the
-// batch and returns ctx.Err(): no worker claims another chain,
-// centralized chains stop at their next round boundary, remote chains
-// abort through the coordinator, and in-flight sharded chains have
-// their engines closed. A canceled batch never returns partial
-// samples.
-func (s *Sampler) SampleNContext(ctx context.Context, seed uint64, k int) (*Batch, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("locsample: SampleN needs k >= 0, got %d", k)
-	}
-	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	batch := &Batch{
-		Samples:      make([][]int, k),
-		Rounds:       s.rounds,
-		TheoryRounds: s.theory,
-	}
-	if k == 0 {
-		return batch, nil
-	}
-	n := s.m.G.N()
-	backing := make([]int, k*n)
-	for i := 0; i < k; i++ {
-		batch.Samples[i] = backing[i*n : (i+1)*n : (i+1)*n]
-	}
-	if s.remote != nil {
-		// Remote draws serialize on the coordinator's control connections;
-		// each chain already fans out across the worker processes.
-		for i := 0; i < k; i++ {
-			chainStart := time.Now()
-			st, err := s.remote.draw(ctx, core.ChainSeed(seed, uint64(i)), s.rounds, batch.Samples[i], nil)
-			if err != nil {
-				return nil, err
-			}
-			batch.Shard.Add(st)
-			s.observeDraw(chainStart)
-		}
-		return batch, nil
-	}
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if s.plan != nil {
-			// Each chain already runs plan.K goroutines; dividing the pool
-			// keeps total parallelism near GOMAXPROCS instead of
-			// oversubscribing by a factor of K.
-			workers = max(1, workers/s.plan.K)
-		} else if s.cfg.Parallel > 1 {
-			// Same reasoning for vertex-parallel rounds: each chain fans
-			// its phases over Parallel goroutines.
-			workers = max(1, workers/s.cfg.Parallel)
-		}
-	}
-	if s.plan == nil && !s.cfg.Distributed && s.cfg.Parallel <= 1 && soaBatchable(s.cfg.Algorithm) {
-		if width := batchWidth(s.cfg.BatchWidth, k, workers); width > 0 {
-			return s.sampleNSoA(ctx, seed, k, width, workers, batch)
-		}
-	}
-	workers = batchWorkers(workers, k)
-	var chainStats []Stats
-	if s.cfg.Distributed {
-		chainStats = make([]Stats, k)
-	}
-	var shardStats []ShardStats
-	if s.plan != nil {
-		shardStats = make([]ShardStats, k)
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		runErr  error
-		aborted atomic.Bool
-	)
-	// One shared abort flag serves both the claim loop (no worker takes
-	// another chain) and the centralized chains (stop at the next round
-	// boundary); sharded workers additionally close their engines so
-	// in-flight lockstep rounds unblock.
-	var chainAbort atomic.Bool
-	stopWatch := ctxWatch(ctx, func() {
-		aborted.Store(true)
-		chainAbort.Store(true)
-	})
-	defer stopWatch()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var cs *chains.Sampler
-			var eng *cluster.Engine
-			engDead := false
-			if s.plan != nil {
-				eng = s.engines.Get().(*cluster.Engine)
-				stopEng := ctxWatch(ctx, func() { eng.Close() })
-				// A failed engine is poisoned (transport closed) and must
-				// not be re-pooled for the next batch; neither may one a
-				// cancellation closed (or is about to close).
-				defer func() {
-					stopEng()
-					if engDead || ctxErr(ctx) != nil {
-						eng.Close()
-					} else {
-						s.engines.Put(eng)
-					}
-				}()
-			} else if !s.cfg.Distributed {
-				cs = s.chainPool.Get().(*chains.Sampler)
-				if ctx != nil && ctx.Done() != nil {
-					cs.Abort = &chainAbort
-				}
-				defer func() {
-					cs.Abort = nil
-					s.chainPool.Put(cs)
-				}()
-			}
-			for {
-				// Fail fast: once any chain errors, no worker claims
-				// another chain — without this check the pool would drain
-				// the entire remaining queue after the batch is already
-				// doomed.
-				if aborted.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= k {
-					return
-				}
-				chainSeed := core.ChainSeed(seed, uint64(i))
-				chainStart := time.Now()
-				if eng != nil {
-					st, err := eng.Run(s.init, chainSeed, s.rounds, batch.Samples[i])
-					if err != nil {
-						engDead = true
-						errOnce.Do(func() { runErr = err })
-						aborted.Store(true)
-						return
-					}
-					shardStats[i] = st
-					s.observeDraw(chainStart)
-					continue
-				}
-				if s.cfg.Distributed {
-					res, err := s.sampleWithSeed(ctx, chainSeed)
-					if err != nil {
-						errOnce.Do(func() { runErr = err })
-						aborted.Store(true)
-						return
-					}
-					copy(batch.Samples[i], res.Sample)
-					chainStats[i] = res.Stats
-					continue
-				}
-				cs.Reset(s.init, chainSeed)
-				cs.Run(s.rounds)
-				copy(batch.Samples[i], cs.X)
-				s.observeDraw(chainStart)
-			}
-		}()
-	}
-	wg.Wait()
-	if cerr := ctxErr(ctx); cerr != nil {
-		// Cancellation wins over whatever secondary errors closing the
-		// engines provoked — the caller asked for the abort it got.
-		return nil, cerr
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	for _, st := range chainStats {
-		batch.Stats.Messages += st.Messages
-		batch.Stats.Bytes += st.Bytes
-		if st.MaxMessageBytes > batch.Stats.MaxMessageBytes {
-			batch.Stats.MaxMessageBytes = st.MaxMessageBytes
-		}
-		if st.Rounds > batch.Stats.Rounds {
-			batch.Stats.Rounds = st.Rounds
-		}
-	}
-	for _, st := range shardStats {
-		batch.Shard.Add(st)
-	}
-	return batch, nil
+	f.shards = p
+	return &p.Layout, nil
 }
 
-// soaBatchable reports whether alg has an SoA batch kernel (the round
-// shapes with marginal/propose/filter phases; the scan and chromatic
-// baselines stay per-chain).
-func soaBatchable(alg chains.Algorithm) bool {
-	return alg == chains.Glauber || alg == chains.LubyGlauber || alg == chains.LocalMetropolis
+func (f *mrfFamily) newEngine(local []int, tr transport.Transport) (*cluster.Engine, error) {
+	if tr == nil {
+		return cluster.New(f.m, f.shards, f.cfg.Algorithm, f.cfg.DropRule3)
+	}
+	return cluster.NewWithTransport(f.m, f.shards, f.cfg.Algorithm, f.cfg.DropRule3, local, tr)
 }
 
-// soaWidths are the block widths the auto-picker considers, widest first.
-var soaWidths = [...]int{64, 32, 16, 8}
+func (f *mrfFamily) newCoupled(seed uint64, o diag.Options) (*diag.Coupled, error) {
+	return diag.NewCoupledMRF(f.m, f.init, seed, f.cfg.Algorithm, chains.Options{DropRule3: f.cfg.DropRule3}, o)
+}
 
-// batchWidth resolves the SoA lane width for a k-chain batch under a
-// worker budget. explicit is Config.BatchWidth: 1 forces the per-chain
-// path, w ≥ 2 pins the width (honored whenever the batch has at least w
-// chains), 0 auto-picks the widest block that still cuts the batch into
-// at least `workers` blocks — wider blocks amortize the CSR walk harder,
-// but a batch with fewer blocks than workers would idle cores. Returns 0
-// for "run per-chain".
-func batchWidth(explicit, k, workers int) int {
-	if explicit == 1 {
-		return 0
-	}
-	if explicit >= 2 {
-		if k >= explicit {
-			return explicit
-		}
-		return 0
-	}
-	for _, w := range soaWidths {
-		if k >= w && (k+w-1)/w >= workers {
-			return w
+func (f *mrfFamily) remoteJob() (remoteJob, [][]int32, error) {
+	// The workers rebuild the model from its wire spec; derive one when
+	// the caller didn't pin it with WithModelSpec.
+	sp := f.cfg.ModelSpec
+	if sp == nil {
+		var err error
+		if sp, err = NewSpecFromModel(f.m, "remote"); err != nil {
+			return remoteJob{}, nil, fmt.Errorf("locsample: remote draws ship the model as a spec: %w", err)
 		}
 	}
-	if k >= soaWidths[len(soaWidths)-1] {
-		// Fewer blocks than workers at every width: take the narrowest
-		// block rather than falling back to per-chain — lane amortization
-		// beats perfect occupancy once a block fills.
-		return soaWidths[len(soaWidths)-1]
-	}
-	return 0
+	job := remoteJob{kind: "mrf", spec: sp, algorithm: f.cfg.Algorithm.String(), dropRule3: f.cfg.DropRule3}
+	return job, mrfOwned(f.shards), nil
 }
 
-// batchWorkers clamps the worker pool to the number of claimable work
-// items — chains on the per-chain path, blocks on the SoA path — so a
-// small batch never spins goroutines that could not claim work. Pinned
-// by TestSampleNWorkerPoolClamped.
-func batchWorkers(workers, items int) int {
-	if workers > items {
-		return items
+func (f *mrfFamily) runLOCAL(seed uint64, rounds int) ([]int, Stats, error) {
+	cfg := f.cfg
+	cfg.Seed, cfg.Rounds, cfg.RoundsAuto, cfg.Init = seed, rounds, false, f.init
+	res, err := core.Sample(f.m, cfg)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	return workers
-}
-
-// getSoABlock borrows a pooled SoA block at least `width` lanes wide,
-// building one when the pool is empty or its block is too narrow (the
-// undersized block is dropped for the collector — widths only grow).
-func (s *Sampler) getSoABlock(width int) *chains.SoABlock {
-	if b, _ := s.soaPool.Get().(*chains.SoABlock); b != nil && b.MaxWidth() >= width {
-		return b
-	}
-	b := chains.NewSoABlock(s.m, s.cfg.Algorithm, chains.Options{DropRule3: s.cfg.DropRule3}, width)
-	b.Obs = s.engineObserver()
-	return b
-}
-
-// sampleNSoA runs a centralized batch through the SoA block engine: the
-// k chains are cut into ceil(k/width) lockstep blocks, and the worker
-// pool (clamped to the block count) claims blocks exactly as the
-// per-chain path claims chains. The tail block, when k is not a multiple
-// of width, runs with its natural lane count — lanes pack at the run
-// width, so no dead lanes are computed. Chain i's lane is bit-identical
-// to the per-chain path at ChainSeed(seed, i) (pinned at widths 8/16/33
-// by TestSampleNSoABitIdentical).
-func (s *Sampler) sampleNSoA(ctx context.Context, seed uint64, k, width, workers int, batch *Batch) (*Batch, error) {
-	batch.SoAWidth = width
-	blocks := (k + width - 1) / width
-	workers = batchWorkers(workers, blocks)
-	var (
-		next       atomic.Int64
-		wg         sync.WaitGroup
-		chainAbort atomic.Bool
-	)
-	// One flag serves both the claim loop and the blocks' round
-	// boundaries, mirroring the per-chain path (SoA batches cannot error:
-	// the only exit besides completion is cancellation).
-	stopWatch := ctxWatch(ctx, func() { chainAbort.Store(true) })
-	defer stopWatch()
-	cancelable := ctx != nil && ctx.Done() != nil
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			blk := s.getSoABlock(width)
-			if cancelable {
-				blk.Abort = &chainAbort
-			}
-			defer func() {
-				blk.Abort = nil
-				s.soaPool.Put(blk)
-			}()
-			seeds := make([]uint64, width)
-			for {
-				if chainAbort.Load() {
-					return
-				}
-				bi := int(next.Add(1)) - 1
-				if bi >= blocks {
-					return
-				}
-				lo := bi * width
-				lanes := min(width, k-lo)
-				for c := 0; c < lanes; c++ {
-					seeds[c] = core.ChainSeed(seed, uint64(lo+c))
-				}
-				blockStart := time.Now()
-				blk.Reset(s.init, seeds[:lanes])
-				blk.Run(s.rounds)
-				blk.Scatter(batch.Samples[lo : lo+lanes])
-				s.observeDrawN(blockStart, lanes)
-			}
-		}()
-	}
-	wg.Wait()
-	if cerr := ctxErr(ctx); cerr != nil {
-		return nil, cerr
-	}
-	return batch, nil
-}
-
-// observeDrawN meters `lanes` draws that completed together as one SoA
-// block: the draw counter advances per chain, the latency histogram gets
-// one observation — the block is the unit of work.
-func (s *Sampler) observeDrawN(start time.Time, lanes int) {
-	if s.mDraws == nil {
-		return
-	}
-	s.mDraws.Add(int64(lanes))
-	s.mDrawNS.Observe(time.Since(start).Nanoseconds())
-}
-
-// newDrawMetrics registers the sampler-level series under the given
-// engine label ("mrf" | "csp"). A nil registry disables them all.
-func newDrawMetrics(reg *obs.Registry, engine string) (draws *obs.Counter, drawNS *obs.Histogram, rounds *obs.RoundMetrics) {
-	if reg == nil {
-		return nil, nil, nil
-	}
-	draws = reg.Counter("locsample_draws_total", "completed sampler draws", "engine", engine)
-	drawNS = reg.Histogram("locsample_draw_seconds", "end-to-end draw latency", 1e-9, "engine", engine)
-	rounds = &obs.RoundMetrics{
-		ComputeNS: reg.Histogram("locsample_round_compute_seconds", "per-round kernel time", 1e-9, "engine", engine),
-		BarrierNS: reg.Histogram("locsample_round_barrier_seconds", "per-round barrier/exchange wait", 1e-9, "engine", engine),
-		Flips:     reg.Counter("locsample_round_flips_total", "accepted per-round vertex updates", "engine", engine),
-		Rounds:    reg.Counter("locsample_rounds_total", "chain rounds executed", "engine", engine),
-	}
-	return draws, drawNS, rounds
+	return res.Sample, res.Stats, nil
 }

@@ -113,3 +113,30 @@ func TestShardedCSPSampleNFailsFast(t *testing.T) {
 		t.Fatal("sharded CSP SampleN hung instead of aborting")
 	}
 }
+
+// TestOneShotHonorsTransport: the one-shot draws compile the sampler
+// NewSampler / NewCSPSampler would and draw once, so every runtime option
+// reaches the draw. An injected fabric fault must surface from Sample,
+// SampleCSP and SampleCSPN alike, and a CSP draw placed on an unreachable
+// worker must fail rather than quietly draw in-process.
+func TestOneShotHonorsTransport(t *testing.T) {
+	g, c, init := cspTestWorkload(t)
+	fault := []locsample.Option{locsample.WithShards(3), locsample.WithTransport(faultyFabric(2))}
+	if _, _, err := locsample.SampleCSP(g, c, init, 10, 1, false, fault...); !transportFailure(err) {
+		t.Fatalf("SampleCSP over a dropping fabric: err = %v, want a typed transport failure", err)
+	}
+	if _, err := locsample.SampleCSPN(g, c, init, 10, 1, 3, 1, fault...); !transportFailure(err) {
+		t.Fatalf("SampleCSPN over a dropping fabric: err = %v, want a typed transport failure", err)
+	}
+	m := locsample.NewColoring(locsample.GridGraph(8, 8), 13)
+	if _, err := locsample.Sample(m, append(fault, locsample.WithRounds(12), locsample.WithSeed(3))...); !transportFailure(err) {
+		t.Fatalf("Sample over a dropping fabric: err = %v, want a typed transport failure", err)
+	}
+	_, _, err := locsample.SampleCSP(g, c, init, 10, 1, false,
+		locsample.WithShards(2), locsample.WithRemoteWorkers("127.0.0.1:1"),
+		locsample.WithRetryPolicy(locsample.RetryPolicy{Attempts: 1, DialTimeout: time.Second}))
+	var we *locsample.WorkerError
+	if !errors.As(err, &we) {
+		t.Fatalf("SampleCSP on an unreachable worker: err = %v, want a WorkerError", err)
+	}
+}

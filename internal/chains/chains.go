@@ -24,27 +24,20 @@ package chains
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
+	"locsample/internal/graph"
 	"locsample/internal/mrf"
 	"locsample/internal/rng"
 )
 
-// RoundObserver receives one callback per completed round. It is the
-// nil-checked instrumentation seam shared by every engine tier: the
-// centralized Sampler here, the sharded cluster engines, and the CSP
-// chains all invoke it with the same signature, and internal/obs
-// provides implementations (trace recorder, metrics feeder) that
-// satisfy it structurally without this package importing them.
-//
-// Contract: RoundDone must not allocate or block — it runs on the hot
-// path of every instrumented round. shard is 0 for centralized chains;
-// barrierNS is 0 where there is no barrier; flips < 0 means the kernel
-// does not count accepted updates (the centralized baselines don't).
-type RoundObserver interface {
-	RoundDone(shard, round int, computeNS, barrierNS int64, flips int)
-}
+// RoundObserver and Hooks are the observation and cancellation seams
+// every chain state shares (defined beside the band round driver so the
+// CSP chains reach them without importing this package).
+type (
+	RoundObserver = graph.RoundObserver
+	Hooks         = graph.Hooks
+)
 
 // PRF key tags. Distinct tags separate the randomness consumed by different
 // parts of a round.
@@ -129,18 +122,7 @@ type Sampler struct {
 	// sequential baselines use only its marginal buffer.
 	kernel *Kernel
 
-	// Obs, when non-nil, is called once per Step with the step's wall
-	// time. The nil check is the only per-step cost when disabled, and
-	// the centralized kernels don't count flips (reported as -1).
-	Obs RoundObserver
-
-	// Abort, when non-nil, is polled between steps by Run: once it
-	// reads true the loop returns early. It is the cancellation seam
-	// for context-aware draws — a canceled request stops burning rounds
-	// at the next round boundary. The chain state is then mid-run and
-	// must be Reset before reuse (which every pooled caller does
-	// anyway). Nil costs one pointer check per round.
-	Abort *atomic.Bool
+	Hooks
 }
 
 // NewSampler returns a Sampler starting from init (copied).

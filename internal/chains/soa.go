@@ -24,7 +24,6 @@ package chains
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"locsample/internal/mrf"
@@ -46,11 +45,10 @@ type SoABlock struct {
 	Alg  Algorithm
 	Opts Options
 
-	// Obs and Abort follow the Sampler contract: Obs (if non-nil) gets one
+	// Hooks follow the Sampler contract: Obs (if non-nil) gets one
 	// RoundDone per block round — a block round advances all lanes at
 	// once — and Abort is polled between rounds by Run.
-	Obs   RoundObserver
-	Abort *atomic.Bool
+	Hooks
 
 	maxW     int
 	coloring bool

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"strings"
 	"time"
 
 	"locsample/internal/chains"
@@ -76,16 +77,15 @@ type Config struct {
 	// within-chain parallelism the paper's O(log n)-round locality buys.
 	// Output is bit-identical to the centralized chain at the same seed,
 	// invariant to shard count and partition strategy. Only LubyGlauber
-	// and LocalMetropolis shard; Distributed and Shards are mutually
-	// exclusive (they are two different runtimes for the same protocol).
+	// and LocalMetropolis shard, and only compiled samplers run shards.
+	// Shards, Parallel and Distributed each pick a runtime; checkRuntime
+	// admits one per draw.
 	Shards int
 	// Parallel > 1 runs each centralized round's phases across that many
 	// goroutines over contiguous CSR ranges (chains.Options.Parallel) — the
 	// lightweight in-chain parallelism that needs no partition plan.
 	// Trajectories are bit-identical to sequential rounds at every worker
-	// count. Only LubyGlauber and LocalMetropolis support it, and it is
-	// mutually exclusive with Shards and Distributed (three runtimes for
-	// the same round).
+	// count. Only LubyGlauber and LocalMetropolis support it.
 	Parallel int
 	// ShardStrategy selects the graph partitioner for Shards > 1
 	// (default partition.Range).
@@ -103,14 +103,12 @@ type Config struct {
 	// Shards > 1) a compiled sampler places the shards across those
 	// processes and runs the lockstep rounds over TCP instead of
 	// in-process. Draws remain bit-identical to the centralized chain.
-	// Requires len(WorkerAddrs) <= Shards, and only compiled samplers
-	// (the batch engines) support it — not one-shot core.Sample.
+	// Requires len(WorkerAddrs) <= Shards.
 	WorkerAddrs []string
 	// Transport, when non-nil, supplies the boundary fabric sharded
 	// in-process draws run on instead of the default channel transport.
 	// neighbors is the plan's shard adjacency. The primary consumer is
-	// fault-injection testing; it is mutually exclusive with WorkerAddrs,
-	// Parallel, and Distributed.
+	// fault-injection testing.
 	Transport func(neighbors [][]int) transport.Transport
 	// StandbyAddrs lists spare lsharded workers for WorkerAddrs draws.
 	// When a draw fails on a worker, the coordinator swaps the next
@@ -329,44 +327,42 @@ func AutoRounds(m *mrf.MRF, alg chains.Algorithm, eps float64) (int, error) {
 	}
 }
 
-// validateFabric checks the boundary-fabric knobs (WorkerAddrs,
-// Transport) against the rest of the config; both only make sense for
-// sharded draws and exclude the other runtimes.
-func validateFabric(cfg Config) error {
-	if len(cfg.WorkerAddrs) > 0 {
+// checkRuntime resolves the runtime knobs of cfg against each other, for
+// both Compile paths. A draw runs on exactly one runtime — sequential
+// rounds, vertex-parallel rounds (Parallel), the LOCAL-model simulator
+// (Distributed), or shards (Shards) — and the fabric knobs refine only
+// the sharded one: in-process over the default or a custom Transport, or
+// across WorkerAddrs processes with StandbyAddrs as spares.
+func checkRuntime(cfg Config) error {
+	var picked []string
+	if cfg.Distributed {
+		picked = append(picked, "Distributed")
+	}
+	if cfg.Parallel > 1 {
+		picked = append(picked, "Parallel")
+	}
+	if cfg.Shards > 1 {
+		picked = append(picked, "Shards")
+	}
+	if len(picked) > 1 {
+		return fmt.Errorf("core: %s are mutually exclusive (pick one runtime)", strings.Join(picked, " and "))
+	}
+	if len(cfg.WorkerAddrs) > 0 || cfg.Transport != nil {
 		if cfg.Shards <= 1 {
-			return fmt.Errorf("core: WorkerAddrs needs Shards > 1 (remote placement is a property of sharded draws)")
+			return fmt.Errorf("core: WorkerAddrs and Transport need Shards > 1 (they are the sharded runtime's fabric)")
+		}
+		if len(cfg.WorkerAddrs) > 0 && cfg.Transport != nil {
+			return fmt.Errorf("core: WorkerAddrs and Transport are two fabrics (remote draws own their TCP fabric); pick one")
 		}
 		if len(cfg.WorkerAddrs) > cfg.Shards {
 			return fmt.Errorf("core: %d worker addresses for %d shards (every worker must host at least one shard)", len(cfg.WorkerAddrs), cfg.Shards)
-		}
-		if cfg.Transport != nil {
-			return fmt.Errorf("core: WorkerAddrs and Transport are mutually exclusive (remote draws own their TCP fabric)")
-		}
-		if cfg.Distributed {
-			return fmt.Errorf("core: Distributed and WorkerAddrs are mutually exclusive")
-		}
-		if cfg.Parallel > 1 {
-			return fmt.Errorf("core: Parallel and WorkerAddrs are mutually exclusive")
 		}
 	}
 	if len(cfg.StandbyAddrs) > 0 && len(cfg.WorkerAddrs) == 0 {
 		return fmt.Errorf("core: StandbyAddrs without WorkerAddrs (standbys are spares for a remote worker fleet)")
 	}
-	if cfg.Transport != nil {
-		if cfg.Shards <= 1 {
-			return fmt.Errorf("core: Transport needs Shards > 1 (it is the sharded boundary fabric)")
-		}
-		if cfg.Distributed {
-			return fmt.Errorf("core: Distributed and Transport are mutually exclusive")
-		}
-		if cfg.Parallel > 1 {
-			return fmt.Errorf("core: Parallel and Transport are mutually exclusive")
-		}
-	}
-	// BatchWidth rides along here because both Compile paths funnel
-	// through validateFabric: lane sets are uint64 bitmasks, so 64 is the
-	// hard ceiling (chains.MaxBatchWidth / csp.MaxBatchWidth).
+	// Lane sets are uint64 bitmasks, so 64 is the hard ceiling
+	// (chains.MaxBatchWidth / csp.MaxBatchWidth).
 	if cfg.BatchWidth < 0 || cfg.BatchWidth > 64 {
 		return fmt.Errorf("core: BatchWidth must be in [0, 64], got %d", cfg.BatchWidth)
 	}
@@ -379,19 +375,11 @@ func validateFabric(cfg Config) error {
 // engine both go through it, so their resolutions can never drift apart —
 // which is what makes batch chain i bit-identical to a derived-seed Sample.
 func Compile(m *mrf.MRF, cfg Config) (rounds, theory int, init []int, err error) {
-	if err := validateFabric(cfg); err != nil {
+	if err := checkRuntime(cfg); err != nil {
 		return 0, 0, nil, err
 	}
-	if cfg.Parallel > 1 {
-		if cfg.Algorithm != chains.LubyGlauber && cfg.Algorithm != chains.LocalMetropolis {
-			return 0, 0, nil, fmt.Errorf("core: %v has no vertex-parallel rounds (only LubyGlauber and LocalMetropolis decompose into barrier-separated phases)", cfg.Algorithm)
-		}
-		if cfg.Shards > 1 {
-			return 0, 0, nil, fmt.Errorf("core: Shards and Parallel are mutually exclusive (pick one in-chain runtime)")
-		}
-		if cfg.Distributed {
-			return 0, 0, nil, fmt.Errorf("core: Distributed and Parallel are mutually exclusive")
-		}
+	if cfg.Parallel > 1 && cfg.Algorithm != chains.LubyGlauber && cfg.Algorithm != chains.LocalMetropolis {
+		return 0, 0, nil, fmt.Errorf("core: %v has no vertex-parallel rounds (only LubyGlauber and LocalMetropolis decompose into barrier-separated phases)", cfg.Algorithm)
 	}
 	eps := cfg.Epsilon
 	if eps == 0 {
@@ -422,10 +410,9 @@ func Compile(m *mrf.MRF, cfg Config) (rounds, theory int, init []int, err error)
 // SampleCSP path and the compiled CSP batch sampler so their resolutions
 // cannot drift. CSP workloads run the hypergraph LubyGlauber chain (§3
 // remark) and have no theory round budget, so Rounds must be explicit; the
-// in-chain runtimes (Shards, Parallel, Distributed) are mutually exclusive
-// exactly as for MRFs.
+// runtime knobs are checked exactly as for MRFs.
 func CompileCSP(c *csp.CSP, cfg Config) (rounds int, err error) {
-	if err := validateFabric(cfg); err != nil {
+	if err := checkRuntime(cfg); err != nil {
 		return 0, err
 	}
 	if cfg.Algorithm != chains.LubyGlauber {
@@ -433,15 +420,6 @@ func CompileCSP(c *csp.CSP, cfg Config) (rounds int, err error) {
 	}
 	if cfg.Rounds <= 0 {
 		return 0, fmt.Errorf("core: CSP draws need an explicit rounds > 0 (no general theory budget exists for arbitrary CSPs)")
-	}
-	if cfg.Shards > 1 && cfg.Parallel > 1 {
-		return 0, fmt.Errorf("core: Shards and Parallel are mutually exclusive (pick one in-chain runtime)")
-	}
-	if cfg.Distributed && cfg.Shards > 1 {
-		return 0, fmt.Errorf("core: Distributed and Shards are mutually exclusive")
-	}
-	if cfg.Distributed && cfg.Parallel > 1 {
-		return 0, fmt.Errorf("core: Distributed and Parallel are mutually exclusive")
 	}
 	if len(cfg.Init) != c.N {
 		return 0, fmt.Errorf("core: init length %d for %d vertices", len(cfg.Init), c.N)
@@ -454,47 +432,18 @@ func CompileCSP(c *csp.CSP, cfg Config) (rounds int, err error) {
 
 // Sample draws one configuration whose distribution is within the
 // configured ε of the Gibbs distribution (when the model is in a proved
-// regime; see AutoRounds).
+// regime; see AutoRounds), on the sequential, vertex-parallel or
+// LOCAL-model runtime. Sharded draws run on compiled samplers (the
+// root package), which own the shard plans and engines.
 func Sample(m *mrf.MRF, cfg Config) (*Result, error) {
 	rounds, theory, init, err := Compile(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{TheoryRounds: theory}
-
 	if cfg.Shards > 1 {
-		if cfg.Distributed {
-			return nil, fmt.Errorf("core: Distributed and Shards are mutually exclusive")
-		}
-		if len(cfg.WorkerAddrs) > 0 {
-			return nil, fmt.Errorf("core: remote workers need a compiled sampler (NewSampler/NewCSPSampler), not one-shot Sample")
-		}
-		plan, err := partition.Build(m.G, cfg.Shards, cfg.ShardStrategy, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		var eng *cluster.Engine
-		if cfg.Transport != nil {
-			local := make([]int, plan.K)
-			for s := range local {
-				local[s] = s
-			}
-			eng, err = cluster.NewWithTransport(m, plan, cfg.Algorithm, cfg.DropRule3, local, cfg.Transport(plan.NeighborLists()))
-		} else {
-			eng, err = cluster.New(m, plan, cfg.Algorithm, cfg.DropRule3)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int, m.G.N())
-		st, err := eng.Run(init, cfg.Seed, rounds, out)
-		if err != nil {
-			return nil, err
-		}
-		res.Sample, res.Rounds, res.Shard = out, rounds, &st
-		return res, nil
+		return nil, fmt.Errorf("core: sharded draws need a compiled sampler, not core.Sample")
 	}
-
+	res := &Result{TheoryRounds: theory}
 	if cfg.Distributed {
 		switch cfg.Algorithm {
 		case chains.LubyGlauber:

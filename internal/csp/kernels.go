@@ -21,6 +21,8 @@
 package csp
 
 import (
+	"time"
+
 	"locsample/internal/graph"
 	"locsample/internal/rng"
 )
@@ -244,6 +246,68 @@ func LubyGlauberRoundParallel(c *CSP, x []int, seed uint64, round int, sc *Scrat
 // over constraint ranges, accept over vertex ranges.
 func LocalMetropolisRoundParallel(c *CSP, x []int, seed uint64, round int, sc *Scratch, workers int) {
 	sc.use(c, true, workers).Round(x, seed, round)
+}
+
+// Chain owns one CSP chain's state and advances it deterministically from
+// a seed — the CSP counterpart of chains.Sampler, with the same surface
+// (Reset, Step, Run, X, Obs, Abort). It runs the hypergraph LubyGlauber
+// rounds over the centralized band, each round's phases fanned over
+// workers goroutines when workers > 1; the trajectory is the same at every
+// worker count. Reset rewinds it without reallocating, so one Chain serves
+// any number of draws allocation-free.
+type Chain struct {
+	X []int
+	graph.Hooks
+
+	k     *Kernel
+	seed  uint64
+	round int
+}
+
+// NewChain returns a Chain over c starting from init (copied).
+func NewChain(c *CSP, init []int, seed uint64, workers int) *Chain {
+	if len(init) != c.N {
+		panic("csp: initial configuration has wrong length")
+	}
+	return &Chain{
+		X:    append([]int(nil), init...),
+		k:    NewKernel(c, &c.band, false, workers),
+		seed: seed,
+	}
+}
+
+// Reset rewinds the chain to round 0 with a new initial configuration
+// (copied) and seed.
+func (s *Chain) Reset(init []int, seed uint64) {
+	if len(init) != len(s.X) {
+		panic("csp: initial configuration has wrong length")
+	}
+	copy(s.X, init)
+	s.seed = seed
+	s.round = 0
+}
+
+// Step advances the chain by one round, reporting to Obs like
+// chains.Sampler.Step (shard 0, flips uncounted).
+func (s *Chain) Step() {
+	if s.Obs != nil {
+		t0 := time.Now()
+		s.k.Round(s.X, s.seed, s.round)
+		s.Obs.RoundDone(0, s.round, time.Since(t0).Nanoseconds(), 0, -1)
+	} else {
+		s.k.Round(s.X, s.seed, s.round)
+	}
+	s.round++
+}
+
+// Run advances the chain by t rounds, polling Abort at round boundaries.
+func (s *Chain) Run(t int) {
+	for i := 0; i < t; i++ {
+		if s.Abort != nil && s.Abort.Load() {
+			return
+		}
+		s.Step()
+	}
 }
 
 // --- Source-driven chains (sequential baselines) -----------------------

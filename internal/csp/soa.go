@@ -22,7 +22,9 @@ package csp
 import (
 	"fmt"
 	"math/bits"
+	"time"
 
+	"locsample/internal/graph"
 	"locsample/internal/rng"
 )
 
@@ -31,11 +33,11 @@ const MaxBatchWidth = 64
 
 // SoABlock advances up to MaxBatchWidth LubyGlauber chains of one CSP in
 // lockstep. All buffers are allocated at construction; steady-state
-// rounds allocate nothing (alloc-gated). The caller drives rounds via
-// Step — abort polling and round observation live in the engine layer,
-// as they do for the per-chain runChain.
+// rounds allocate nothing (alloc-gated). Hooks follow chains.SoABlock:
+// Obs gets one RoundDone per block round, Abort is polled by Run.
 type SoABlock struct {
 	C *CSP
+	graph.Hooks
 
 	maxW  int
 	w     int
@@ -116,12 +118,35 @@ func (b *SoABlock) Scatter(dst [][]int) {
 	}
 }
 
-// Step advances all lanes by one LubyGlauber round: one β fill, one
+// Step advances all lanes by one round, reporting to Obs like
+// chains.SoABlock.Step (shard 0, flips uncounted).
+func (b *SoABlock) Step() {
+	if b.Obs != nil {
+		t0 := time.Now()
+		round := b.round
+		b.step()
+		b.Obs.RoundDone(0, round, time.Since(t0).Nanoseconds(), 0, -1)
+		return
+	}
+	b.step()
+}
+
+// Run advances all lanes by t rounds, polling Abort at round boundaries.
+func (b *SoABlock) Run(t int) {
+	for i := 0; i < t; i++ {
+		if b.Abort != nil && b.Abort.Load() {
+			return
+		}
+		b.Step()
+	}
+}
+
+// step runs one LubyGlauber round: one β fill, one
 // hypergraph-neighborhood walk deciding every lane's Luby membership per
 // variable, and lane-sequential heat-bath resampling of the winners (the
 // winners of each lane are strongly independent, so in-place lane
 // updates are exact).
-func (b *SoABlock) Step() {
+func (b *SoABlock) step() {
 	c, w := b.C, b.w
 	n := c.N
 	round := uint64(b.round)

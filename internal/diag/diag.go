@@ -26,7 +26,6 @@ package diag
 
 import (
 	"fmt"
-	"time"
 
 	"locsample/internal/chains"
 	"locsample/internal/csp"
@@ -92,79 +91,16 @@ func (o Options) resolve() (Options, error) {
 	return o, nil
 }
 
-// coupledChains abstracts the two chain families behind the runner: k
-// states advancing under one shared seed. X(j) returns chain j's live
-// state (not a copy); StepAll advances every chain one round; StepPrimary
-// advances only chain 0 (the post-coalescence fast path — companions equal
-// chain 0 and would compute identical updates).
-type coupledChains interface {
-	K() int
-	X(j int) []int
-	StepAll()
-	StepPrimary()
-}
-
-// mrfChains couples k chains.Samplers constructed with one seed. Only
-// ss[0] carries an observer, so companion rounds are never double-counted
-// in the recorder or metrics.
-type mrfChains struct {
-	ss []*chains.Sampler
-}
-
-func (c *mrfChains) K() int        { return len(c.ss) }
-func (c *mrfChains) X(j int) []int { return c.ss[j].X }
-
-func (c *mrfChains) StepAll() {
-	for _, s := range c.ss {
-		s.Step()
-	}
-}
-
-func (c *mrfChains) StepPrimary() { c.ss[0].Step() }
-
-// cspChains couples k CSP states advanced by the hypergraph LubyGlauber
-// kernel. The CSP kernels do not self-observe (mirroring
-// cspapi.runChainObserved), so chain 0's rounds are timed here.
-type cspChains struct {
-	c     *csp.CSP
-	seed  uint64
-	round int
-	xs    [][]int
-	scs   []*csp.Scratch
-	obs   chains.RoundObserver
-}
-
-func (c *cspChains) K() int        { return len(c.xs) }
-func (c *cspChains) X(j int) []int { return c.xs[j] }
-
-func (c *cspChains) StepAll() {
-	c.stepChain0()
-	for j := 1; j < len(c.xs); j++ {
-		csp.LubyGlauberRoundPRF(c.c, c.xs[j], c.seed, c.round, c.scs[j])
-	}
-	c.round++
-}
-
-func (c *cspChains) StepPrimary() {
-	c.stepChain0()
-	c.round++
-}
-
-func (c *cspChains) stepChain0() {
-	if c.obs != nil {
-		t0 := time.Now()
-		csp.LubyGlauberRoundPRF(c.c, c.xs[0], c.seed, c.round, c.scs[0])
-		c.obs.RoundDone(0, c.round, time.Since(t0).Nanoseconds(), 0, -1)
-		return
-	}
-	csp.LubyGlauberRoundPRF(c.c, c.xs[0], c.seed, c.round, c.scs[0])
-}
-
 // Coupled advances a k-chain grand coupling and records its mixing series.
 // Construct with NewCoupledMRF or NewCoupledCSP, advance with StepRound /
 // Run / RunToCoalescence, read the draw from X, and summarize with Finish.
 type Coupled struct {
-	cc    coupledChains
+	// ss[j] advances chain j one round and xs[j] is its live state — the
+	// chains are chains.Samplers or csp.Chains constructed with one seed.
+	// Only chain 0 carries an observer, so companion rounds are never
+	// double-counted in the recorder or metrics.
+	ss    []interface{ Step() }
+	xs    [][]int
 	n     int
 	k     int
 	max   int
@@ -184,10 +120,15 @@ type Coupled struct {
 // ewmaAlpha is the flip-rate EWMA smoothing factor.
 const ewmaAlpha = 0.2
 
-func newCoupled(cc coupledChains, n int, o Options) *Coupled {
+// newCoupled assembles a coupling over chains ss with live states xs, and
+// installs the coupling's recorder (teed with o.Obs when non-nil) as
+// chain 0's observer through hooks0.
+func newCoupled(ss []interface{ Step() }, xs [][]int, hooks0 *chains.Hooks, o Options) *Coupled {
 	rec := obs.NewRoundRecorder(1, o.MaxRounds)
+	n := len(xs[0])
 	d := &Coupled{
-		cc:          cc,
+		ss:          ss,
+		xs:          xs,
 		n:           n,
 		k:           o.Chains,
 		max:         o.MaxRounds,
@@ -199,7 +140,11 @@ func newCoupled(cc coupledChains, n int, o Options) *Coupled {
 		ewma:        make([]float64, o.MaxRounds),
 		coalescedAt: -1,
 	}
-	copy(d.prev, cc.X(0))
+	copy(d.prev, xs[0])
+	hooks0.Obs = rec
+	if o.Obs != nil {
+		hooks0.Obs = &obs.TeeRounds{A: rec, B: o.Obs}
+	}
 	return d
 }
 
@@ -220,11 +165,14 @@ func NewCoupledMRF(m *mrf.MRF, init []int, seed uint64, alg chains.Algorithm, co
 	if len(init) != m.G.N() {
 		return nil, fmt.Errorf("diag: init length %d for %d vertices", len(init), m.G.N())
 	}
-	ss := make([]*chains.Sampler, o.Chains)
-	ss[0] = chains.NewSampler(m, init, seed, alg, copts)
+	ss := make([]interface{ Step() }, o.Chains)
+	xs := make([][]int, o.Chains)
+	first := chains.NewSampler(m, init, seed, alg, copts)
+	ss[0], xs[0] = first, first.X
 	for j := 1; j < o.Chains; j++ {
 		if rot := rotatedInit(m, init, j); rot != nil {
-			ss[j] = chains.NewSampler(m, rot, seed, alg, copts)
+			s := chains.NewSampler(m, rot, seed, alg, copts)
+			ss[j], xs[j] = s, s.X
 			continue
 		}
 		// Burn-in fallback: advance a copy of init under a private seed,
@@ -235,11 +183,9 @@ func NewCoupledMRF(m *mrf.MRF, init []int, seed uint64, alg chains.Algorithm, co
 		s := chains.NewSampler(m, init, rng.PRF(seed, TagInit, uint64(j)), alg, copts)
 		s.Run(BurnInRounds)
 		s.Reset(s.X, seed)
-		ss[j] = s
+		ss[j], xs[j] = s, s.X
 	}
-	d := newCoupled(&mrfChains{ss: ss}, m.G.N(), o)
-	d.attachObserver(o.Obs)
-	return d, nil
+	return newCoupled(ss, xs, &first.Hooks, o), nil
 }
 
 // NewCoupledCSP builds a k-chain coupling over CSP c running the
@@ -257,25 +203,17 @@ func NewCoupledCSP(c *csp.CSP, init []int, seed uint64, o Options) (*Coupled, er
 	if !c.Feasible(init) {
 		return nil, fmt.Errorf("diag: initial configuration is infeasible")
 	}
-	cc := &cspChains{
-		c:    c,
-		seed: seed,
-		xs:   make([][]int, o.Chains),
-		scs:  make([]*csp.Scratch, o.Chains),
-	}
-	for j := range cc.xs {
-		cc.xs[j] = append([]int(nil), init...)
-		cc.scs[j] = csp.NewScratch(c)
-	}
+	ss := make([]interface{ Step() }, o.Chains)
+	xs := make([][]int, o.Chains)
+	first := csp.NewChain(c, init, seed, 1)
+	ss[0], xs[0] = first, first.X
 	for j := 1; j < o.Chains; j++ {
-		burnSeed := rng.PRF(seed, TagInit, uint64(j))
-		for r := 0; r < BurnInRounds; r++ {
-			csp.LubyGlauberRoundPRF(c, cc.xs[j], burnSeed, r, cc.scs[j])
-		}
+		s := csp.NewChain(c, init, rng.PRF(seed, TagInit, uint64(j)), 1)
+		s.Run(BurnInRounds)
+		s.Reset(s.X, seed)
+		ss[j], xs[j] = s, s.X
 	}
-	d := newCoupled(cc, c.N, o)
-	d.attachObserver(o.Obs)
-	return d, nil
+	return newCoupled(ss, xs, &first.Hooks, o), nil
 }
 
 // rotatedInit returns companion j's color-rotated start for coloring
@@ -311,12 +249,14 @@ func (d *Coupled) StepRound() {
 	}
 	coalesced := d.coalescedAt >= 0
 	if coalesced {
-		d.cc.StepPrimary()
+		d.ss[0].Step()
 	} else {
-		d.cc.StepAll()
+		for _, s := range d.ss {
+			s.Step()
+		}
 	}
 	r := d.round
-	x0 := d.cc.X(0)
+	x0 := d.xs[0]
 	fl := 0
 	for v, xv := range x0 {
 		if xv != d.prev[v] {
@@ -327,7 +267,7 @@ func (d *Coupled) StepRound() {
 	dis := 0
 	if !coalesced {
 		for j := 1; j < d.k; j++ {
-			xj := d.cc.X(j)
+			xj := d.xs[j]
 			h := 0
 			for v := range x0 {
 				if x0[v] != xj[v] {
@@ -377,7 +317,7 @@ func (d *Coupled) RunToCoalescence() int {
 }
 
 // X returns chain 0's live state (do not mutate; copy to keep).
-func (d *Coupled) X() []int { return d.cc.X(0) }
+func (d *Coupled) X() []int { return d.xs[0] }
 
 // Round returns the number of rounds run so far.
 func (d *Coupled) Round() int { return d.round }
@@ -403,22 +343,6 @@ func (d *Coupled) MeasuredRounds() int {
 // Recorder exposes the internal chain-0 round recorder (for grafting into
 // traces). Read only after the run.
 func (d *Coupled) Recorder() *obs.RoundRecorder { return d.rec }
-
-// attachObserver installs the coupling's recorder (teed with extra when
-// non-nil) as chain 0's observer. Called by the constructors after
-// newCoupled so the recorder exists.
-func (d *Coupled) attachObserver(extra chains.RoundObserver) {
-	var o chains.RoundObserver = d.rec
-	if extra != nil {
-		o = &obs.TeeRounds{A: d.rec, B: extra}
-	}
-	switch cc := d.cc.(type) {
-	case *mrfChains:
-		cc.ss[0].Obs = o
-	case *cspChains:
-		cc.obs = o
-	}
-}
 
 // ShardSeries is one shard's per-round attribution within a Diagnosis.
 // Centralized couplings have exactly one shard (0).

@@ -1,6 +1,9 @@
 package graph
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Band is the view every MRF round kernel runs on: a set of owned vertices,
 // the halo of their out-of-band neighbors, and the CSR rows of the owned
@@ -102,6 +105,39 @@ func parallelFor(n, workers int, fn func(w, lo, hi int)) {
 		}(w, lo, hi)
 	}
 	wg.Wait()
+}
+
+// RoundObserver receives one callback per completed round. It is the
+// nil-checked instrumentation seam shared by every engine tier: the
+// centralized chains (chains.Sampler, csp.Chain), the SoA blocks, and the
+// sharded cluster engines all invoke it with the same signature, and
+// internal/obs provides implementations (trace recorder, metrics feeder)
+// that satisfy it structurally without this package importing them.
+//
+// Contract: RoundDone must not allocate or block — it runs on the hot
+// path of every instrumented round. shard is 0 for centralized chains;
+// barrierNS is 0 where there is no barrier; flips < 0 means the kernel
+// does not count accepted updates (the centralized baselines don't).
+type RoundObserver interface {
+	RoundDone(shard, round int, computeNS, barrierNS int64, flips int)
+}
+
+// Hooks are the run seams every chain state embeds — chains.Sampler,
+// chains.SoABlock, csp.Chain and csp.SoABlock — so one driver can observe
+// and cancel any of them.
+type Hooks struct {
+	// Obs, when non-nil, is called once per Step with the step's wall
+	// time. The nil check is the only per-step cost when disabled, and
+	// the centralized kernels don't count flips (reported as -1).
+	Obs RoundObserver
+
+	// Abort, when non-nil, is polled between steps by Run: once it
+	// reads true the loop returns early. It is the cancellation seam
+	// for context-aware draws — a canceled request stops burning rounds
+	// at the next round boundary. The chain state is then mid-run and
+	// must be Reset before reuse (which every pooled caller does
+	// anyway). Nil costs one pointer check per round.
+	Abort *atomic.Bool
 }
 
 // Span names the index range a kernel phase covers.

@@ -290,23 +290,31 @@ func handleRegister(reg *Registry, w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-func handleSample(reg *Registry, m *Model, w http.ResponseWriter, req *http.Request) {
+// readSampleRequest decodes a sample request body (empty means all
+// defaults), answering 400 itself when the body is malformed.
+func readSampleRequest(w http.ResponseWriter, req *http.Request) (SampleRequest, bool) {
 	var sr SampleRequest
 	body, err := readBody(w, req, 1<<20)
 	if err != nil {
-		return
+		return sr, false
 	}
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &sr); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid sample request: %w", err))
-			return
+			return sr, false
 		}
 	}
+	return sr, true
+}
+
+// drawOptions maps the request onto draw options, picking a random seed
+// when the request pins none.
+func (sr *SampleRequest) drawOptions() DrawOptions {
 	seed := rand.Uint64()
 	if sr.Seed != nil {
 		seed = *sr.Seed
 	}
-	opts := DrawOptions{
+	return DrawOptions{
 		K:          sr.K,
 		Seed:       seed,
 		Algorithm:  sr.Algorithm,
@@ -315,21 +323,25 @@ func handleSample(reg *Registry, m *Model, w http.ResponseWriter, req *http.Requ
 		Shards:     sr.Shards,
 		Parallel:   sr.Parallel,
 		RoundsAuto: sr.RoundsAuto,
+		Trace:      sr.Trace,
 	}
-	var res *DrawResult
+}
+
+func handleSample(reg *Registry, m *Model, w http.ResponseWriter, req *http.Request) {
+	sr, ok := readSampleRequest(w, req)
+	if !ok {
+		return
+	}
+	opts := sr.drawOptions()
 	// The request context cancels in-flight work when the client
 	// disconnects or the server drains — local chains stop at the next
 	// round boundary, coordinator sessions are torn down.
-	if sr.Trace {
-		res, _, err = reg.DrawTracedContext(req.Context(), m, opts)
-	} else {
-		res, err = reg.DrawContext(req.Context(), m, opts)
-	}
+	res, err := reg.DrawContext(req.Context(), m, opts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, sampleResponseFor(m, seed, res))
+	writeJSON(w, http.StatusOK, sampleResponseFor(m, opts.Seed, res))
 }
 
 // sampleResponseFor shapes a DrawResult into the wire response.
@@ -406,23 +418,8 @@ func (p *sseProbe) CouplingRound(round, disagree, flips int, flipEWMA float64) {
 // then a final "draw" event with the sample and its diagnosis. The
 // sample is bit-identical to a plain draw with the same options.
 func handleSampleStream(reg *Registry, m *Model, w http.ResponseWriter, req *http.Request) {
-	var sr SampleRequest
-	body, err := readBody(w, req, 1<<20)
-	if err != nil {
-		return
-	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &sr); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid sample request: %w", err))
-			return
-		}
-	}
-	if sr.K > 1 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("streaming draws run one chain; k must be 1, got %d", sr.K))
-		return
-	}
-	if sr.Trace {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("streaming draws cannot also be traced"))
+	sr, ok := readSampleRequest(w, req)
+	if !ok {
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -430,28 +427,17 @@ func handleSampleStream(reg *Registry, m *Model, w http.ResponseWriter, req *htt
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("response writer does not support streaming"))
 		return
 	}
-	seed := rand.Uint64()
-	if sr.Seed != nil {
-		seed = *sr.Seed
-	}
 	every := sr.Every
 	if every <= 0 {
 		every = 16
 	}
-	opts := DrawOptions{
-		K:          1,
-		Seed:       seed,
-		Algorithm:  sr.Algorithm,
-		Rounds:     sr.Rounds,
-		Epsilon:    sr.Epsilon,
-		Shards:     sr.Shards,
-		Parallel:   sr.Parallel,
-		RoundsAuto: sr.RoundsAuto,
-	}
+	opts := sr.drawOptions()
+	opts.Diagnose = true
+	opts.Probe = &sseProbe{w: w, fl: fl, every: every}
 	// Validate and compile before committing to the stream so invalid
-	// options still get a proper HTTP error status instead of a broken
-	// event stream.
-	if err := reg.validateDrawOptions(opts); err != nil {
+	// options (k > 1 and trace included) still get a proper HTTP error
+	// status instead of a broken event stream.
+	if err := reg.validateDrawOptions(&opts); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -464,13 +450,13 @@ func handleSampleStream(reg *Registry, m *Model, w http.ResponseWriter, req *htt
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	res, diag, err := reg.DrawDiagnosedContext(req.Context(), m, opts, &sseProbe{w: w, fl: fl, every: every})
+	res, err := reg.DrawContext(req.Context(), m, opts)
 	if err != nil {
 		// The stream is already open (status sent); report in-band.
 		writeSSE(w, fl, "error", errorResponse{Error: err.Error()})
 		return
 	}
-	writeSSE(w, fl, "draw", StreamDrawEvent{SampleResponse: sampleResponseFor(m, seed, res), Diagnosis: diag})
+	writeSSE(w, fl, "draw", StreamDrawEvent{SampleResponse: sampleResponseFor(m, opts.Seed, res), Diagnosis: res.Diagnosis})
 }
 
 func readBody(w http.ResponseWriter, req *http.Request, limit int64) ([]byte, error) {

@@ -134,8 +134,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestModelLatencyStats pins the /statsz latency fix: per-model stats
 // report a draw count, mean, and ordered quantiles from the latency
-// histogram, while the deprecated LatencyMS field keeps its historical
-// cumulative-total meaning.
+// histogram.
 func TestModelLatencyStats(t *testing.T) {
 	reg := NewRegistry(Config{})
 	m, _, err := reg.Register([]byte(coloringSpec))
@@ -158,12 +157,6 @@ func TestModelLatencyStats(t *testing.T) {
 	if st.LatencyP50MS <= 0 || st.LatencyP50MS > st.LatencyP95MS || st.LatencyP95MS > st.LatencyP99MS {
 		t.Fatalf("quantiles out of order: p50=%v p95=%v p99=%v",
 			st.LatencyP50MS, st.LatencyP95MS, st.LatencyP99MS)
-	}
-	// The deprecated field is the cumulative total, so it must sit at
-	// mean*count (modulo float rounding).
-	wantTotal := st.LatencyMeanMS * draws
-	if st.LatencyMS < wantTotal*0.99 || st.LatencyMS > wantTotal*1.01 {
-		t.Fatalf("LatencyMS = %v, want cumulative ~%v", st.LatencyMS, wantTotal)
 	}
 }
 

@@ -168,14 +168,6 @@ type ModelStats struct {
 	Requests int64  `json:"requests"`
 	Samples  int64  `json:"samples"`
 	Errors   int64  `json:"errors"`
-	// LatencyMS is the CUMULATIVE draw wall-clock in milliseconds.
-	//
-	// Deprecated: the name long suggested a per-draw latency while the
-	// value has always been the running total — use LatencyMeanMS and
-	// the quantile fields for latency, and DrawCount to recover the
-	// total (mean × count). The field stays populated with the old
-	// cumulative semantics so existing scrapers keep working.
-	LatencyMS float64 `json:"latencyMs"`
 	// DrawCount is the number of successful draws behind the latency
 	// figures below.
 	DrawCount int64 `json:"drawCount"`
@@ -222,7 +214,6 @@ func (m *Model) Stats() ModelStats {
 		Requests:         m.requests.Value(),
 		Samples:          m.samples.Value(),
 		Errors:           m.errors.Value(),
-		LatencyMS:        float64(m.drawNS.Sum()) / 1e6,
 		DrawCount:        m.drawNS.Count(),
 		ShardDraws:       m.shardDraws.Value(),
 		BoundaryMessages: m.boundaryMsgs.Value(),
@@ -267,22 +258,17 @@ type compileKey struct {
 	local bool
 }
 
-// compiled is one cache entry: a reusable MRF batch sampler or a reusable
-// CSP batch sampler.
+// compiled is one cache entry: a compiled sampler, MRF or CSP — the
+// service draws both through the same surface. Close releases its
+// external resources (remote worker sessions); it is idempotent and safe
+// while a draw still borrows the entry — a later draw simply reconnects.
 type compiled struct {
-	sampler    *locsample.Sampler
-	cspSampler *locsample.CSPSampler
-}
-
-// close releases a compiled sampler's external resources (remote worker
-// sessions). Closing is idempotent and safe while a draw still borrows
-// the entry — a later draw simply reconnects.
-func (c *compiled) close() {
-	if c.sampler != nil {
-		c.sampler.Close()
-	}
-	if c.cspSampler != nil {
-		c.cspSampler.Close()
+	sampler interface {
+		Draw(context.Context, locsample.DrawRequest) (*locsample.Batch, error)
+		Shards() int
+		ParallelRounds() int
+		CapRounds() int
+		Close() error
 	}
 }
 
@@ -529,6 +515,22 @@ type DrawOptions struct {
 	// rounds:"auto"). Draws under the measured budget are bit-identical
 	// to explicit-rounds draws at the same seed and round count.
 	RoundsAuto bool
+	// Trace records a per-round timing trace of the draw (k must be 1),
+	// retained in the registry's trace store; the result carries it and
+	// its ID. The sample is bit-identical to an untraced draw with the
+	// same options.
+	Trace bool
+	// Diagnose runs a grand coupling alongside the draw (k must be 1; not
+	// with Trace): the result carries the mixing Diagnosis, whose summary
+	// is retained for /debug/mixing/{id}. Chain 0 of the coupling, seeded
+	// ChainSeed(Seed, 0), IS the draw, so the sample is bit-identical to
+	// an undiagnosed draw with the same options. Diagnosed draws run the
+	// coupling centralized and in-process, and check the context only
+	// before they start.
+	Diagnose bool
+	// Probe, when non-nil, observes a diagnosed draw's coupling live, one
+	// call per round (the SSE streaming endpoint passes one).
+	Probe locsample.CouplingProbe
 }
 
 // DrawResult is one served batch.
@@ -551,9 +553,12 @@ type DrawResult struct {
 	Shard locsample.ShardStats
 	// Elapsed is the draw's wall-clock time.
 	Elapsed time.Duration
-	// TraceID identifies the recorded trace of a traced draw
-	// (DrawTraced), fetchable at /debug/trace/{id}; empty otherwise.
+	// Trace is a traced draw's recorded trace and TraceID its ID,
+	// fetchable at /debug/trace/{id}; nil and empty otherwise.
+	Trace   *obs.Trace
 	TraceID string
+	// Diagnosis is a diagnosed draw's mixing report (nil otherwise).
+	Diagnosis *locsample.Diagnosis
 	// CapRounds is the worst-case budget a rounds:"auto" compile was
 	// capped by (0 for fixed-budget draws).
 	CapRounds int
@@ -599,97 +604,40 @@ func (r *Registry) Draw(m *Model, opts DrawOptions) (*DrawResult, error) {
 // disconnect, server drain) aborts the in-flight draw — local chains
 // stop at the next round boundary, sharded engines are torn down, and
 // coordinator sessions are closed — and the request fails with
-// ctx.Err(). Cancellation never produces a partial batch.
+// ctx.Err(). Cancellation never produces a partial batch. Every draw
+// flavor — plain, traced, diagnosed, streamed — runs through here.
 func (r *Registry) DrawContext(ctx context.Context, m *Model, opts DrawOptions) (*DrawResult, error) {
 	r.inflightDraws.Add(1)
-	res, err := r.draw(ctx, m, opts, nil)
+	res, err := r.draw(ctx, m, opts)
 	r.inflightDraws.Add(-1)
-	return r.finishDraw(m, res, err)
-}
-
-// DrawTraced is Draw with per-round trace recording: the draw runs
-// sequentially (k must be 1), its trace is retained in the registry's
-// trace store, and the result carries the trace ID. The sample is
-// bit-identical to an untraced draw with the same options.
-func (r *Registry) DrawTraced(m *Model, opts DrawOptions) (*DrawResult, *obs.Trace, error) {
-	return r.DrawTracedContext(context.Background(), m, opts)
-}
-
-// DrawTracedContext is DrawTraced under a context; cancellation behaves
-// as in DrawContext.
-func (r *Registry) DrawTracedContext(ctx context.Context, m *Model, opts DrawOptions) (*DrawResult, *obs.Trace, error) {
-	if opts.K > 1 {
-		err := fmt.Errorf("service: traced draws record one chain; k must be 1, got %d", opts.K)
-		m.requests.Inc()
-		m.errors.Inc()
-		return nil, nil, err
+	if res, err = r.finishDraw(m, res, err); err != nil {
+		return nil, err
 	}
-	var tr trace
-	r.inflightDraws.Add(1)
-	res, err := r.draw(ctx, m, opts, &tr)
-	r.inflightDraws.Add(-1)
-	res, err = r.finishDraw(m, res, err)
-	if err != nil {
-		return nil, nil, err
+	if res.Trace != nil {
+		r.traces.Put(res.Trace)
+		r.tracedDraws.Inc()
+		res.TraceID = res.Trace.ID
+		r.log.Info("traced draw", "model", m.Hash, "trace", res.TraceID, "elapsed", res.Elapsed)
 	}
-	r.traces.Put(tr.t)
-	r.tracedDraws.Inc()
-	res.TraceID = tr.t.ID
-	r.log.Info("traced draw", "model", m.Hash, "trace", tr.t.ID, "elapsed", res.Elapsed)
-	return res, tr.t, nil
-}
-
-// DrawDiagnosed is Draw with a grand coupling running alongside the
-// chain: the draw runs sequentially (k must be 1) and comes back with a
-// mixing Diagnosis, whose summary is retained for /debug/mixing/{id}.
-// The sample is bit-identical to an undiagnosed draw with the same
-// options — chain 0 of the coupling, seeded ChainSeed(seed, 0), IS the
-// draw. A non-nil probe observes the coupling live, one call per round
-// (the SSE streaming endpoint passes one).
-func (r *Registry) DrawDiagnosed(m *Model, opts DrawOptions, probe locsample.CouplingProbe) (*DrawResult, *locsample.Diagnosis, error) {
-	return r.DrawDiagnosedContext(context.Background(), m, opts, probe)
-}
-
-// DrawDiagnosedContext is DrawDiagnosed under a context. The coupling
-// itself runs to completion once started (it is centralized and
-// in-process); the context is checked before the draw begins, so a
-// disconnected client never starts one.
-func (r *Registry) DrawDiagnosedContext(ctx context.Context, m *Model, opts DrawOptions, probe locsample.CouplingProbe) (*DrawResult, *locsample.Diagnosis, error) {
-	if opts.K > 1 {
-		err := fmt.Errorf("service: diagnosed draws run one chain; k must be 1, got %d", opts.K)
-		m.requests.Inc()
-		m.errors.Inc()
-		return nil, nil, err
+	if d := res.Diagnosis; d != nil {
+		r.diagnosedDraws.Inc()
+		r.mixing.Put(obs.MixingSummary{
+			ID:               m.Hash,
+			Seed:             opts.Seed,
+			Chains:           d.Chains,
+			Rounds:           d.Rounds,
+			MaxRounds:        d.MaxRounds,
+			Coalesced:        d.Coalesced,
+			CoalescenceRound: d.CoalescenceRound,
+			MeasuredRounds:   d.MeasuredRounds,
+			TheoryRounds:     res.TheoryRounds,
+			FinalDisagree:    lastDisagree(d),
+		})
+		r.log.Info("diagnosed draw", "model", m.Hash,
+			"coalesced", d.Coalesced, "measured", d.MeasuredRounds,
+			"rounds", d.Rounds, "elapsed", res.Elapsed)
 	}
-	if err := ctxDone(ctx); err != nil {
-		m.requests.Inc()
-		m.errors.Inc()
-		return nil, nil, err
-	}
-	r.inflightDraws.Add(1)
-	res, diag, err := r.drawDiagnosed(m, opts, probe)
-	r.inflightDraws.Add(-1)
-	res, err = r.finishDraw(m, res, err)
-	if err != nil {
-		return nil, nil, err
-	}
-	r.diagnosedDraws.Inc()
-	r.mixing.Put(obs.MixingSummary{
-		ID:               m.Hash,
-		Seed:             opts.Seed,
-		Chains:           diag.Chains,
-		Rounds:           diag.Rounds,
-		MaxRounds:        diag.MaxRounds,
-		Coalesced:        diag.Coalesced,
-		CoalescenceRound: diag.CoalescenceRound,
-		MeasuredRounds:   diag.MeasuredRounds,
-		TheoryRounds:     res.TheoryRounds,
-		FinalDisagree:    lastDisagree(diag),
-	})
-	r.log.Info("diagnosed draw", "model", m.Hash,
-		"coalesced", diag.Coalesced, "measured", diag.MeasuredRounds,
-		"rounds", diag.Rounds, "elapsed", res.Elapsed)
-	return res, diag, nil
+	return res, nil
 }
 
 func lastDisagree(d *locsample.Diagnosis) int {
@@ -697,54 +645,6 @@ func lastDisagree(d *locsample.Diagnosis) int {
 		return d.Series.Disagree[n-1]
 	}
 	return 0
-}
-
-// drawDiagnosed runs the diagnosed draw proper (validation and metrics
-// live in DrawDiagnosed).
-func (r *Registry) drawDiagnosed(m *Model, opts DrawOptions, probe locsample.CouplingProbe) (*DrawResult, *locsample.Diagnosis, error) {
-	if opts.K == 0 {
-		opts.K = 1
-	}
-	if err := r.validateDrawOptions(opts); err != nil {
-		return nil, nil, err
-	}
-	c, err := r.getCompiled(m, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	// Chain 0 of an untraced k-batch runs with ChainSeed(seed, 0); the
-	// diagnosed single chain must match it bit-for-bit.
-	seed := locsample.ChainSeed(opts.Seed, 0)
-	if c.sampler != nil {
-		res, diag, err := c.sampler.SampleDiagnosedObserved(seed, probe)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &DrawResult{
-			Samples:      [][]int{res.Sample},
-			Rounds:       res.Rounds,
-			TheoryRounds: res.TheoryRounds,
-			Algorithm:    algorithmName(m, opts),
-			Shards:       1, // diagnosed draws run the coupling centralized
-			Parallel:     1,
-			Elapsed:      time.Since(start),
-			CapRounds:    c.sampler.CapRounds(),
-		}, diag, nil
-	}
-	sample, diag, err := c.cspSampler.SampleDiagnosedObserved(seed, probe)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &DrawResult{
-		Samples:   [][]int{sample},
-		Rounds:    c.cspSampler.Rounds(),
-		Algorithm: "lubyglauber",
-		Shards:    1,
-		Parallel:  1,
-		Elapsed:   time.Since(start),
-		CapRounds: c.cspSampler.CapRounds(),
-	}, diag, nil
 }
 
 // finishDraw books one finished draw into the model's serving series.
@@ -769,13 +669,12 @@ func (r *Registry) finishDraw(m *Model, res *DrawResult, err error) (*DrawResult
 	return res, nil
 }
 
-// trace is an out-parameter for draw: non-nil asks for a traced draw,
-// and the recorded trace comes back in t.
-type trace struct{ t *obs.Trace }
-
-// validateDrawOptions range-checks the request-level knobs shared by
-// every draw flavor (plain, traced, diagnosed, streamed).
-func (r *Registry) validateDrawOptions(opts DrawOptions) error {
+// validateDrawOptions defaults k to 1 and range-checks the request-level
+// knobs shared by every draw flavor (plain, traced, diagnosed, streamed).
+func (r *Registry) validateDrawOptions(opts *DrawOptions) error {
+	if opts.K == 0 {
+		opts.K = 1
+	}
 	if opts.K < 1 || opts.K > r.cfg.MaxK {
 		return fmt.Errorf("service: k must be in [1,%d], got %d", r.cfg.MaxK, opts.K)
 	}
@@ -790,6 +689,12 @@ func (r *Registry) validateDrawOptions(opts DrawOptions) error {
 	}
 	if opts.Parallel < 0 || opts.Parallel > r.cfg.MaxParallel {
 		return fmt.Errorf("service: parallel must be in [0,%d], got %d", r.cfg.MaxParallel, opts.Parallel)
+	}
+	if opts.Trace && opts.Diagnose {
+		return fmt.Errorf("service: a draw is traced or diagnosed (streamed), not both")
+	}
+	if (opts.Trace || opts.Diagnose) && opts.K != 1 {
+		return fmt.Errorf("service: traced and diagnosed draws run one chain; k must be 1, got %d", opts.K)
 	}
 	return nil
 }
@@ -808,19 +713,18 @@ func (r *Registry) remoteKey(key compileKey) bool {
 	return key.shards > 1 && !key.local && len(r.cfg.WorkerAddrs) > 0
 }
 
-func (r *Registry) draw(ctx context.Context, m *Model, opts DrawOptions, tr *trace) (*DrawResult, error) {
-	if opts.K == 0 {
-		opts.K = 1
-	}
-	if err := r.validateDrawOptions(opts); err != nil {
+func (r *Registry) draw(ctx context.Context, m *Model, opts DrawOptions) (*DrawResult, error) {
+	if err := r.validateDrawOptions(&opts); err != nil {
 		return nil, err
 	}
 	key, err := r.compileKeyFor(m, opts)
 	if err != nil {
 		return nil, err
 	}
-	if !r.remoteKey(key) {
-		return r.drawCompiled(ctx, m, key, opts, tr)
+	// Diagnosed draws run their coupling in-process whatever the key, so
+	// the coordinator's breaker has no say in them.
+	if !r.remoteKey(key) || opts.Diagnose {
+		return r.drawCompiled(ctx, m, key, opts)
 	}
 	// Coordinator-backed draw. The coordinator retries and replaces
 	// workers inside the draw; the service layer handles the regime
@@ -829,9 +733,9 @@ func (r *Registry) draw(ctx context.Context, m *Model, opts DrawOptions, tr *tra
 	// of failing the request, and the per-model breaker stops sending
 	// draws into a known-broken fleet at all.
 	if !m.breaker.allow() {
-		return r.drawDegraded(ctx, m, key, opts, tr, nil)
+		return r.drawDegraded(ctx, m, key, opts, nil)
 	}
-	res, err := r.drawCompiled(ctx, m, key, opts, tr)
+	res, err := r.drawCompiled(ctx, m, key, opts)
 	if err == nil {
 		m.breaker.success()
 		return res, nil
@@ -843,17 +747,17 @@ func (r *Registry) draw(ctx context.Context, m *Model, opts DrawOptions, tr *tra
 		return nil, err
 	}
 	m.breaker.failure()
-	return r.drawDegraded(ctx, m, key, opts, tr, err)
+	return r.drawDegraded(ctx, m, key, opts, err)
 }
 
 // drawDegraded serves a coordinator-keyed draw from the in-process
 // fallback sampler — same spec, same seeds, bit-identical samples.
 // cause is the worker fault that forced the detour (nil when the
 // breaker short-circuited before trying).
-func (r *Registry) drawDegraded(ctx context.Context, m *Model, key compileKey, opts DrawOptions, tr *trace, cause error) (*DrawResult, error) {
+func (r *Registry) drawDegraded(ctx context.Context, m *Model, key compileKey, opts DrawOptions, cause error) (*DrawResult, error) {
 	local := key
 	local.local = true
-	res, err := r.drawCompiled(ctx, m, local, opts, tr)
+	res, err := r.drawCompiled(ctx, m, local, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -864,96 +768,41 @@ func (r *Registry) drawDegraded(ctx context.Context, m *Model, key compileKey, o
 }
 
 // drawCompiled runs one validated draw on the sampler the key names.
-func (r *Registry) drawCompiled(ctx context.Context, m *Model, key compileKey, opts DrawOptions, tr *trace) (*DrawResult, error) {
+func (r *Registry) drawCompiled(ctx context.Context, m *Model, key compileKey, opts DrawOptions) (*DrawResult, error) {
 	c, err := r.getCompiledKey(m, key, opts)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	if c.sampler != nil {
-		if tr != nil {
-			// Chain 0 of an untraced k-batch runs with ChainSeed(seed, 0);
-			// the traced single chain must match it bit-for-bit.
-			res, t, err := c.sampler.SampleTracedContext(ctx, locsample.ChainSeed(opts.Seed, 0))
-			if err != nil {
-				return nil, err
-			}
-			tr.t = t
-			out := &DrawResult{
-				Samples:      [][]int{res.Sample},
-				Rounds:       res.Rounds,
-				TheoryRounds: res.TheoryRounds,
-				Algorithm:    algorithmName(m, opts),
-				Shards:       c.sampler.Shards(),
-				Parallel:     c.sampler.ParallelRounds(),
-				Elapsed:      time.Since(start),
-				CapRounds:    c.sampler.CapRounds(),
-			}
-			if res.Shard != nil {
-				out.Shard = *res.Shard
-			}
-			return out, nil
-		}
-		batch, err := c.sampler.SampleNContext(ctx, opts.Seed, opts.K)
-		if err != nil {
-			return nil, err
-		}
-		return &DrawResult{
-			Samples:      batch.Samples,
-			Rounds:       batch.Rounds,
-			TheoryRounds: batch.TheoryRounds,
-			Algorithm:    algorithmName(m, opts),
-			Shards:       c.sampler.Shards(),
-			Parallel:     c.sampler.ParallelRounds(),
-			Shard:        batch.Shard,
-			Elapsed:      time.Since(start),
-			CapRounds:    c.sampler.CapRounds(),
-			SoAWidth:     batch.SoAWidth,
-		}, nil
-	}
-	if tr != nil {
-		sample, st, t, err := c.cspSampler.SampleTracedContext(ctx, locsample.ChainSeed(opts.Seed, 0))
-		if err != nil {
-			return nil, err
-		}
-		tr.t = t
-		out := &DrawResult{
-			Samples:   [][]int{sample},
-			Rounds:    c.cspSampler.Rounds(),
-			Algorithm: "lubyglauber",
-			Shards:    c.cspSampler.Shards(),
-			Parallel:  c.cspSampler.ParallelRounds(),
-			Elapsed:   time.Since(start),
-			CapRounds: c.cspSampler.CapRounds(),
-		}
-		if st != nil {
-			out.Shard = *st
-		}
-		return out, nil
-	}
-	batch, err := c.cspSampler.SampleNContext(ctx, opts.Seed, opts.K)
+	batch, err := c.sampler.Draw(ctx, locsample.DrawRequest{
+		Seed:     opts.Seed,
+		K:        opts.K,
+		Trace:    opts.Trace,
+		Diagnose: opts.Diagnose,
+		Probe:    opts.Probe,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &DrawResult{
-		Samples:   batch.Samples,
-		Rounds:    batch.Rounds,
-		Algorithm: "lubyglauber",
-		Shards:    c.cspSampler.Shards(),
-		Parallel:  c.cspSampler.ParallelRounds(),
-		Shard:     batch.Shard,
-		Elapsed:   time.Since(start),
-		CapRounds: c.cspSampler.CapRounds(),
-		SoAWidth:  batch.SoAWidth,
-	}, nil
-}
-
-func algorithmName(m *Model, opts DrawOptions) string {
-	a, err := ParseAlgorithm(opts.Algorithm)
-	if err != nil {
-		return opts.Algorithm
+	res := &DrawResult{
+		Samples:      batch.Samples,
+		Rounds:       batch.Rounds,
+		TheoryRounds: batch.TheoryRounds,
+		Algorithm:    strings.ToLower(key.algorithm.String()),
+		Shards:       c.sampler.Shards(),
+		Parallel:     c.sampler.ParallelRounds(),
+		Shard:        batch.Shard,
+		Elapsed:      time.Since(start),
+		CapRounds:    c.sampler.CapRounds(),
+		SoAWidth:     batch.SoAWidth,
+		Trace:        batch.Trace,
+		Diagnosis:    batch.Diagnosis,
 	}
-	return strings.ToLower(a.String())
+	if opts.Diagnose {
+		// Diagnosed draws run the coupling centralized.
+		res.Shards, res.Parallel = 1, 1
+	}
+	return res, nil
 }
 
 // getCompiled returns the cached compiled sampler for (model, options),
@@ -1011,7 +860,7 @@ func (r *Registry) getCompiledKey(m *Model, key compileKey, opts DrawOptions) (*
 			r.lru.Remove(oldest)
 			entry := oldest.Value.(*lruEntry)
 			delete(r.byKey, entry.key)
-			entry.c.close()
+			entry.c.sampler.Close()
 		}
 	}
 	r.mu.Unlock()
@@ -1098,30 +947,6 @@ func (r *Registry) resolveRuntime(m *Model, opts DrawOptions) (shards, parallel 
 // compile does the actual compilation work; it is called without r.mu
 // held (the caller serializes same-key compiles via the singleflight).
 func (r *Registry) compile(m *Model, key compileKey, opts DrawOptions) (*compiled, error) {
-	if m.Built.CSP != nil {
-		sopts := append(r.commonOptions(), locsample.WithRounds(key.rounds))
-		if key.shards > 1 {
-			sopts = append(sopts, locsample.WithShards(key.shards))
-			if !key.local {
-				sopts = append(sopts, r.remoteOptions(m, key.shards)...)
-			}
-		}
-		if key.parallel > 1 {
-			sopts = append(sopts, locsample.WithParallelRounds(key.parallel))
-		}
-		if key.auto {
-			// The coupling measures under the sampler's compile seed (the
-			// service leaves it at 0), so the measured budget depends only
-			// on (model, options) — per-request seeds still reseed draws.
-			sopts = append(sopts, locsample.WithRoundsAuto())
-		}
-		r.compiles.Inc()
-		cs, err := locsample.NewCSPSampler(m.Built.Graph, m.Built.CSP, m.Built.Init, sopts...)
-		if err != nil {
-			return nil, err
-		}
-		return &compiled{cspSampler: cs}, nil
-	}
 	sopts := append(r.commonOptions(), locsample.WithAlgorithm(key.algorithm))
 	if key.rounds > 0 {
 		sopts = append(sopts, locsample.WithRounds(key.rounds))
@@ -1139,14 +964,24 @@ func (r *Registry) compile(m *Model, key compileKey, opts DrawOptions) (*compile
 		sopts = append(sopts, locsample.WithParallelRounds(key.parallel))
 	}
 	if key.auto {
+		// The coupling measures under the sampler's compile seed (the
+		// service leaves it at 0), so the measured budget depends only
+		// on (model, options) — per-request seeds still reseed draws.
 		sopts = append(sopts, locsample.WithRoundsAuto())
 	}
 	r.compiles.Inc()
-	sampler, err := locsample.NewSampler(m.Built.Model, sopts...)
+	if b := m.Built; b.CSP != nil {
+		s, err := locsample.NewCSPSampler(b.Graph, b.CSP, b.Init, sopts...)
+		if err != nil {
+			return nil, err
+		}
+		return &compiled{sampler: s}, nil
+	}
+	s, err := locsample.NewSampler(m.Built.Model, sopts...)
 	if err != nil {
 		return nil, err
 	}
-	return &compiled{sampler: sampler}, nil
+	return &compiled{sampler: s}, nil
 }
 
 // commonOptions are the observability options every compiled sampler

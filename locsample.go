@@ -31,12 +31,18 @@
 //	    locsample.Distributed())
 //
 // For serving workloads that need many draws, compile the model once with
-// NewSampler and use SampleN, which spreads independent chains over a worker
-// pool with allocation-free inner loops; chain i of SampleN with seed s is
-// bit-identical to Sample with seed ChainSeed(s, i):
+// NewSampler (or NewCSPSampler for weighted local CSPs) and call Draw,
+// which spreads independent chains over a worker pool with allocation-free
+// inner loops; chain i of a draw with seed s is bit-identical to Sample
+// with seed ChainSeed(s, i). The same call traces a draw or runs it under
+// a mixing diagnosis:
 //
-//	s, err := locsample.NewSampler(model, locsample.WithSeed(42))
-//	batch, err := s.SampleN(1024)
+//	s, err := locsample.NewSampler(model)
+//	batch, err := s.Draw(ctx, locsample.DrawRequest{Seed: 42, K: 1024})
+//	one, err := s.Draw(ctx, locsample.DrawRequest{Seed: 42, K: 1, Trace: true})
+//
+// Both samplers share one compiled-draw core; they differ only in the
+// chain they run.
 //
 // The internal packages additionally reproduce the paper's lower bounds
 // (Theorems 5.1 and 5.2) and coupling analyses as executable experiments;
@@ -45,6 +51,7 @@
 package locsample
 
 import (
+	"context"
 	"log/slog"
 
 	"locsample/internal/chains"
@@ -359,22 +366,17 @@ func WithRoundsAuto() Option {
 }
 
 // Sample draws one configuration approximately distributed as the model's
-// Gibbs distribution.
+// Gibbs distribution. It compiles the model under opts, draws once, and closes, so every
+// option a Sampler honors — runtimes, remote workers, measured budgets,
+// metrics — is honored here too.
 func Sample(m *Model, opts ...Option) (*Result, error) {
-	cfg := core.Config{Algorithm: chains.LocalMetropolis}
-	for _, opt := range opts {
-		opt(&cfg)
+	cfg := mrfConfig(opts)
+	s, err := compileMRF(m, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.RoundsAuto {
-		// Measured budgets live in the compiled-sampler path; route there.
-		s, err := NewSampler(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		defer s.Close()
-		return s.Sample()
-	}
-	return core.Sample(m, cfg)
+	defer s.Close()
+	return s.drawOne(context.Background(), cfg.Seed, nil)
 }
 
 // TheoryRounds returns the paper's round bound for the model/algorithm pair
