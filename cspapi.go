@@ -176,15 +176,15 @@ func (f *cspFamily) newCoupled(seed uint64, o diag.Options) (*diag.Coupled, erro
 	return diag.NewCoupledCSP(f.c, f.init, seed, o)
 }
 
-func (f *cspFamily) remoteJob() (remoteJob, [][]int32, error) {
+func (f *cspFamily) remoteJob() (remoteJob, error) {
 	sp := f.cfg.ModelSpec
 	if sp == nil {
 		var err error
 		if sp, err = NewSpecFromCSP(f.g, f.c, f.init, f.cfg.Rounds, "remote"); err != nil {
-			return remoteJob{}, nil, fmt.Errorf("locsample: remote draws ship the CSP as a spec: %w", err)
+			return remoteJob{}, fmt.Errorf("locsample: remote draws ship the CSP as a spec: %w", err)
 		}
 	}
-	return remoteJob{kind: "csp", spec: sp}, cspOwned(f.shards), nil
+	return remoteJob{kind: "csp", spec: sp}, nil
 }
 
 func (f *cspFamily) runLOCAL(seed uint64, rounds int) ([]int, Stats, error) {

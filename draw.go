@@ -92,9 +92,8 @@ type family interface {
 	// newCoupled returns a grand coupling whose chain 0 is the chain at
 	// seed.
 	newCoupled(seed uint64, o diag.Options) (*diag.Coupled, error)
-	// remoteJob returns the job remote workers host — model spec and
-	// chain — and every shard's owned band, for reassembling results.
-	remoteJob() (remoteJob, [][]int32, error)
+	// remoteJob returns the job remote workers host: model spec and chain.
+	remoteJob() (remoteJob, error)
 	// runLOCAL runs one chain as a message-passing protocol on the
 	// LOCAL-model simulator (Distributed).
 	runLOCAL(seed uint64, rounds int) ([]int, Stats, error)
@@ -207,13 +206,13 @@ func (d *drawCore) compile(fam family, kind string, cfg core.Config, init []int,
 	if len(cfg.WorkerAddrs) > 0 {
 		// Coordinator mode: the shards live in lsharded processes, which
 		// rebuild the model from the job's spec.
-		job, owned, err := fam.remoteJob()
+		job, err := fam.remoteJob()
 		if err != nil {
 			return err
 		}
 		job.shards, job.strategy, job.planSeed = cfg.Shards, cfg.ShardStrategy.String(), cfg.Seed
 		job.init, job.addrs = d.init, cfg.WorkerAddrs
-		d.remote, err = newRemoteEngine(job, owned, len(d.init), resolveRetry(&cfg), cfg.StandbyAddrs)
+		d.remote, err = newRemoteEngine(job, layout, resolveRetry(&cfg), cfg.StandbyAddrs)
 		if err != nil {
 			return err
 		}

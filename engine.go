@@ -217,18 +217,17 @@ func (f *mrfFamily) newCoupled(seed uint64, o diag.Options) (*diag.Coupled, erro
 	return diag.NewCoupledMRF(f.m, f.init, seed, f.cfg.Algorithm, chains.Options{DropRule3: f.cfg.DropRule3}, o)
 }
 
-func (f *mrfFamily) remoteJob() (remoteJob, [][]int32, error) {
+func (f *mrfFamily) remoteJob() (remoteJob, error) {
 	// The workers rebuild the model from its wire spec; derive one when
 	// the caller didn't pin it with WithModelSpec.
 	sp := f.cfg.ModelSpec
 	if sp == nil {
 		var err error
 		if sp, err = NewSpecFromModel(f.m, "remote"); err != nil {
-			return remoteJob{}, nil, fmt.Errorf("locsample: remote draws ship the model as a spec: %w", err)
+			return remoteJob{}, fmt.Errorf("locsample: remote draws ship the model as a spec: %w", err)
 		}
 	}
-	job := remoteJob{kind: "mrf", spec: sp, algorithm: f.cfg.Algorithm.String(), dropRule3: f.cfg.DropRule3}
-	return job, mrfOwned(f.shards), nil
+	return remoteJob{kind: "mrf", spec: sp, algorithm: f.cfg.Algorithm.String(), dropRule3: f.cfg.DropRule3}, nil
 }
 
 func (f *mrfFamily) runLOCAL(seed uint64, rounds int) ([]int, Stats, error) {

@@ -233,42 +233,21 @@ func (r *remoteEngine) workerErr(stage string, w int, err error) *WorkerError {
 	return we
 }
 
-// mrfOwned extracts the per-shard owned bands (ascending global order)
-// the result reassembly is keyed by.
-func mrfOwned(p *partition.Plan) [][]int32 {
-	out := make([][]int32, p.K)
-	for s, sh := range p.Shards {
-		out[s] = sh.Global[:sh.NOwned]
-	}
-	return out
-}
-
-// cspOwned is mrfOwned for constraint-scope plans.
-func cspOwned(p *partition.CSPPlan) [][]int32 {
-	out := make([][]int32, p.K)
-	for s, sh := range p.Shards {
-		out[s] = sh.Global[:sh.NOwned]
-	}
-	return out
-}
-
-func newRemoteEngine(job remoteJob, owned [][]int32, n int, policy core.RetryPolicy, standby []string) (*remoteEngine, error) {
+func newRemoteEngine(job remoteJob, plan *partition.Layout, policy core.RetryPolicy, standby []string) (*remoteEngine, error) {
 	raw, err := EncodeSpec(job.spec)
 	if err != nil {
 		return nil, fmt.Errorf("locsample: encoding the remote job's spec: %w", err)
 	}
-	w := len(job.addrs)
-	assign := partition.AssignShards(job.shards, w)
-	slots := make([][]int, w)
-	total := 0
-	for s, band := range owned {
-		for _, g := range band {
-			slots[assign[s]] = append(slots[assign[s]], int(g))
-		}
-		total += len(band)
+	// Every shard's owned band, ascending in global ID — the order its
+	// worker returns the band's states in.
+	owned := make([][]int, plan.K)
+	for v, s := range plan.Owner {
+		owned[s] = append(owned[s], v)
 	}
-	if total != n {
-		return nil, fmt.Errorf("locsample: shard plan owns %d of %d vertices", total, n)
+	assign := partition.AssignShards(job.shards, len(job.addrs))
+	slots := make([][]int, len(job.addrs))
+	for s, band := range owned {
+		slots[assign[s]] = append(slots[assign[s]], band...)
 	}
 	// The job's address list is owned (and edited, on replacement) by
 	// the engine; copy so the caller's slice stays theirs.
