@@ -11,10 +11,10 @@
 //     the LRU; re-registering an identical spec or re-requesting the same
 //     options never recompiles.
 //   - Determinism over the wire: a draw for (spec, seed) returns chain i
-//     bit-identical to a local Sample with seed ChainSeed(seed, i) (for
-//     MRFs, via Sampler.SampleNFrom) or a local SampleCSP with the same
-//     derived seed (for CSPs). The server adds no randomness of its own
-//     when the client supplies a seed.
+//     bit-identical to a local Sample (MRFs) or SampleCSP (CSPs) with seed
+//     ChainSeed(seed, i) — every flavor runs the compiled sampler's one
+//     Draw. The server adds no randomness of its own when the client
+//     supplies a seed.
 package service
 
 import (
@@ -235,7 +235,7 @@ func (m *Model) Stats() ModelStats {
 }
 
 // compileKey identifies one compiled sampler: everything that feeds
-// core.Compile. Seeds are deliberately absent — SampleNFrom reseeds a
+// core.Compile. Seeds are deliberately absent — Draw reseeds a
 // compiled sampler per request.
 type compileKey struct {
 	hash      string
