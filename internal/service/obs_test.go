@@ -218,3 +218,31 @@ func TestWorkerDrain(t *testing.T) {
 		t.Fatalf("ActiveJobs = %d after teardown, want 0", got)
 	}
 }
+
+// TestRegisterSecondsSeries checks that registrations are timed in
+// locserved_register_seconds, split by whether the spec was already
+// registered, and that failed registrations are not counted.
+func TestRegisterSecondsSeries(t *testing.T) {
+	r := NewRegistry(Config{})
+	for i := 0; i < 3; i++ {
+		if _, _, err := r.Register([]byte(coloringSpec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := r.Register([]byte(`{"version":"locsample/v0"}`)); err == nil {
+		t.Fatal("invalid spec registered")
+	}
+	var buf bytes.Buffer
+	if err := r.Obs().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE locserved_register_seconds histogram",
+		`locserved_register_seconds_count{cached="false"} 1` + "\n",
+		`locserved_register_seconds_count{cached="true"} 2` + "\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+}

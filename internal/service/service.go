@@ -122,7 +122,7 @@ type Model struct {
 	// Spec is the validated spec.
 	Spec *locsample.Spec
 	// Built is the realized workload.
-	Built *locsample.BuiltSpec
+	Built *spec.Built
 	// Registered is the first registration time.
 	Registered time.Time
 
@@ -199,8 +199,8 @@ type ModelStats struct {
 // Stats reports the model's counters.
 func (m *Model) Stats() ModelStats {
 	q := 0
-	if m.Built.Model != nil {
-		q = m.Built.Model.Q
+	if m.Built.MRF != nil {
+		q = m.Built.MRF.Q
 	} else if m.Built.CSP != nil {
 		q = m.Built.CSP.Q
 	}
@@ -297,6 +297,10 @@ type Registry struct {
 	cacheMiss   *obs.Counter
 	compileNS   *obs.Histogram
 	modelsGauge *obs.Gauge
+	// registerNS and registerCachedNS time successful registrations of
+	// new and of already-registered specs.
+	registerNS       *obs.Histogram
+	registerCachedNS *obs.Histogram
 	// inflightDraws is the queue-depth signal: draws currently executing
 	// (including time spent waiting on a cold compile's singleflight).
 	inflightDraws  *obs.Gauge
@@ -356,6 +360,8 @@ func NewRegistry(cfg Config) *Registry {
 	r.cacheMiss = o.Counter("locserved_cache_misses_total", "compiled-sampler cache misses")
 	r.compileNS = o.Histogram("locserved_compile_seconds", "sampler compile time", 1e-9)
 	r.modelsGauge = o.Gauge("locserved_models", "registered models")
+	r.registerNS = o.Histogram("locserved_register_seconds", "spec registration time", 1e-9, "cached", "false")
+	r.registerCachedNS = o.Histogram("locserved_register_seconds", "spec registration time", 1e-9, "cached", "true")
 	r.inflightDraws = o.Gauge("locserved_inflight_draws", "draws currently executing")
 	r.tracedDraws = o.Counter("locserved_traced_draws_total", "draws served with tracing enabled")
 	r.diagnosedDraws = o.Counter("locserved_diagnosed_draws_total", "draws served with coupling diagnostics")
@@ -408,13 +414,24 @@ func (r *Registry) newModelMetrics(m *Model) {
 // default options cannot serve fails registration and is never observable
 // (no success-then-404 window for concurrent duplicate registrations).
 // Registering a spec whose hash is already present is a cheap no-op that
-// returns the existing model with cached = true.
+// returns the existing model with cached = true. Successful registrations
+// are timed in locserved_register_seconds{cached}.
 func (r *Registry) Register(data []byte) (m *Model, cached bool, err error) {
-	s, err := spec.Decode(data)
-	if err != nil {
-		return nil, false, err
+	t0 := time.Now()
+	m, cached, err = r.register(data)
+	if err == nil {
+		h := r.registerNS
+		if cached {
+			h = r.registerCachedNS
+		}
+		h.Observe(time.Since(t0).Nanoseconds())
 	}
-	h, err := spec.Hash(s)
+	return m, cached, err
+}
+
+func (r *Registry) register(data []byte) (m *Model, cached bool, err error) {
+	// One pass decodes, validates and hashes; the build below trusts both.
+	s, h, err := spec.DecodeHash(data)
 	if err != nil {
 		return nil, false, err
 	}
@@ -432,7 +449,7 @@ func (r *Registry) Register(data []byte) (m *Model, cached bool, err error) {
 	// Build and eagerly compile outside the lock — graph generation and
 	// core.Compile can be heavy. Concurrent duplicate registrations
 	// deduplicate the compile via the cache's singleflight.
-	built, err := locsample.BuildSpec(s)
+	built, err := spec.BuildValid(s, h)
 	if err != nil {
 		return nil, false, err
 	}
@@ -977,7 +994,7 @@ func (r *Registry) compile(m *Model, key compileKey, opts DrawOptions) (*compile
 		}
 		return &compiled{sampler: s}, nil
 	}
-	s, err := locsample.NewSampler(m.Built.Model, sopts...)
+	s, err := locsample.NewSampler(m.Built.MRF, sopts...)
 	if err != nil {
 		return nil, err
 	}

@@ -438,9 +438,12 @@ func (w *Worker) buildJob(job *transport.JobMsg) (*workerJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	built, err := spec.Build(sp)
+	built, err := spec.BuildValid(sp, "") // Decode validated; a job needs no content address
 	if err != nil {
 		return nil, err
+	}
+	if n := built.Graph.N(); job.Shards > n {
+		return nil, fmt.Errorf("worker: %d shards for %d vertices", job.Shards, n)
 	}
 	strat, err := partition.ParseStrategy(job.Strategy)
 	if err != nil {
@@ -511,6 +514,17 @@ func (w *Worker) buildJob(job *transport.JobMsg) (*workerJob, error) {
 	}
 	if len(js.init) != len(js.out) {
 		return nil, fmt.Errorf("worker: init carries %d states for %d vertices", len(js.init), len(js.out))
+	}
+	var q int
+	if built.MRF != nil {
+		q = built.MRF.Q
+	} else {
+		q = built.CSP.Q
+	}
+	for v, x := range js.init {
+		if x < 0 || x >= q {
+			return nil, fmt.Errorf("worker: init[%d] = %d out of [0,%d)", v, x, q)
+		}
 	}
 
 	tcp, err := transport.NewTCP(transport.TCPConfig{

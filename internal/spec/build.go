@@ -45,11 +45,19 @@ func Build(s *Spec) (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
+	return BuildValid(s, h)
+}
+
+// BuildValid is Build for a spec that Decode or DecodeHash returned, so
+// already validated: it neither validates nor hashes again, and records
+// hash, the spec's content address, as Built.Hash ("" when the caller has
+// no use for it).
+func BuildValid(s *Spec, hash string) (*Built, error) {
 	g, err := buildGraph(&s.Graph)
 	if err != nil {
 		return nil, err
 	}
-	b := &Built{Spec: s, Hash: h, Graph: g}
+	b := &Built{Spec: s, Hash: hash, Graph: g}
 	ms := &s.Model
 	switch ms.Kind {
 	case "coloring":

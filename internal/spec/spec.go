@@ -9,27 +9,32 @@
 // cmd/lsample's -model-file flag, and between registry entries and the
 // compiled-sampler cache, which is keyed by the canonical hash.
 //
-// Canonical form. Encode always emits the same bytes for the same decoded
-// value: struct fields in fixed declaration order, omitempty zero elision,
-// and Go's shortest-round-trip float formatting. Decode(Encode(s)) is the
-// identity on valid specs and Encode(Decode(b)) is a fixpoint after one
-// round trip (property-tested by FuzzSpecRoundTrip), so
+// Canonical form. The canonical encoding of a spec is exactly the bytes
+// json.Marshal produces for it: struct fields in fixed declaration order,
+// omitempty zero elision, HTML-safe string escapes and Go's
+// shortest-round-trip float formatting. Encode writes those bytes with a
+// hand encoder, and Decode parses with a decoder written for this schema
+// that accepts exactly what encoding/json (with unknown fields disallowed)
+// accepts, yielding the same values; neither goes through reflection.
+// TestHashGolden pins the content addresses and FuzzDecodeMatchesJSON
+// holds both halves to encoding/json. Decode(Encode(s)) is the identity on
+// valid specs and Encode(Decode(b)) is a fixpoint after one round trip
+// (FuzzSpecRoundTrip), so
 //
 //	Hash(s) = "sha256:" + hex(SHA-256(Encode(s)))
 //
 // is a well-defined content address: two specs hash equal iff they decode
-// to the same workload.
+// to the same workload. DecodeHash decodes, validates and hashes in one
+// pass, which is how the serving layer registers a spec.
 package spec
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Version is the wire-format version every spec must declare.
@@ -169,47 +174,85 @@ func Decode(data []byte) (*Spec, error) {
 	if len(data) > MaxSpecBytes {
 		return nil, fmt.Errorf("spec: %d bytes exceeds the %d-byte limit", len(data), MaxSpecBytes)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("spec: invalid JSON: %w", err)
-	}
-	// Only a clean EOF after the spec object is acceptable: a successful
-	// second decode means valid trailing JSON, any other error means
-	// trailing garbage.
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("spec: trailing data after the spec object")
+	s, err := decodeJSON(data)
+	if err != nil {
+		return nil, err
 	}
 	s.Graph.normalize()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &s, nil
+	return s, nil
+}
+
+// DecodeHash is Decode followed by Hash, validating once: it returns the
+// spec together with its content address.
+func DecodeHash(data []byte) (*Spec, string, error) {
+	s, err := Decode(data)
+	if err != nil {
+		return nil, "", err
+	}
+	return s, hashValid(s), nil
 }
 
 // Encode validates s and returns its canonical JSON encoding — the byte
 // string the content hash is computed over. s itself is never modified;
 // the canonical default-family spelling is applied to a copy.
 func Encode(s *Spec) ([]byte, error) {
-	c := *s // shallow copy: normalization only writes Graph.Family
-	c.Graph.normalize()
-	if err := c.Validate(); err != nil {
+	c, err := canonical(s)
+	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(&c)
+	var data []byte
+	withEncoding(c, func(enc []byte) { data = slices.Clone(enc) })
+	return data, nil
 }
 
 // Hash returns the canonical content address of s:
 // "sha256:" + hex(SHA-256(Encode(s))).
 func Hash(s *Spec) (string, error) {
-	data, err := Encode(s)
+	c, err := canonical(s)
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
+	return hashValid(c), nil
+}
+
+// canonical returns s with the default family spelling normalized (a
+// shallow copy when that changes anything), after validating it.
+func canonical(s *Spec) (*Spec, error) {
+	if s.Graph.Family == "" && len(s.Graph.Edges) > 0 {
+		c := *s // shallow copy: normalization only writes Graph.Family
+		c.Graph.normalize()
+		s = &c
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// hashValid hashes a validated, normalized spec.
+func hashValid(s *Spec) string {
+	var sum [sha256.Size]byte
+	withEncoding(s, func(enc []byte) { sum = sha256.Sum256(enc) })
+	return "sha256:" + hex.EncodeToString(sum[:])
+}
+
+// encodeBufs recycles encoding buffers, so encoding a large spec does not
+// grow a fresh buffer from empty each time.
+var encodeBufs sync.Pool // of *[]byte
+
+// withEncoding encodes a validated, normalized spec into a recycled
+// buffer and passes the bytes to use, which must not retain them.
+func withEncoding(s *Spec, use func([]byte)) {
+	bp, _ := encodeBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	*bp = appendSpec((*bp)[:0], s)
+	use(*bp)
+	encodeBufs.Put(bp)
 }
 
 // Validate checks the spec semantically: version, graph family and
@@ -260,7 +303,7 @@ var graphFieldsByFamily = map[string][]string{
 }
 
 // checkStray rejects graph fields set to non-zero values that the declared
-// family does not read.
+// family does not read, naming the first in declaration order.
 func (g *GraphSpec) checkStray() error {
 	fam := g.Family
 	if fam == "" && len(g.Edges) > 0 {
@@ -270,29 +313,40 @@ func (g *GraphSpec) checkStray() error {
 	if !ok {
 		return nil // size() reports unknown families with a better message
 	}
-	set := map[string]bool{
-		"n":      g.N != 0,
-		"rows":   g.Rows != 0,
-		"cols":   g.Cols != 0,
-		"dim":    g.Dim != 0,
-		"degree": g.Degree != 0,
-		"arity":  g.Arity != 0,
-		"depth":  g.Depth != 0,
-		"a":      g.A != 0,
-		"b":      g.B != 0,
-		"p":      g.P != 0,
-		"seed":   g.Seed != 0,
-		"edges":  len(g.Edges) != 0,
+	fields := [...]setField{
+		{"n", g.N != 0},
+		{"rows", g.Rows != 0},
+		{"cols", g.Cols != 0},
+		{"dim", g.Dim != 0},
+		{"degree", g.Degree != 0},
+		{"arity", g.Arity != 0},
+		{"depth", g.Depth != 0},
+		{"a", g.A != 0},
+		{"b", g.B != 0},
+		{"p", g.P != 0},
+		{"seed", g.Seed != 0},
+		{"edges", len(g.Edges) != 0},
 	}
-	for _, f := range allowed {
-		delete(set, f)
-	}
-	for name, isSet := range set {
-		if isSet {
-			return fmt.Errorf("spec: graph family %q does not take field %q", g.Family, name)
-		}
+	if name := firstStray(fields[:], allowed); name != "" {
+		return fmt.Errorf("spec: graph family %q does not take field %q", g.Family, name)
 	}
 	return nil
+}
+
+// setField records whether a spec field holds a non-zero value.
+type setField struct {
+	name string
+	set  bool
+}
+
+// firstStray returns the name of the first set field not in allowed, or "".
+func firstStray(fields []setField, allowed []string) string {
+	for _, f := range fields {
+		if f.set && !slices.Contains(allowed, f.name) {
+			return f.name
+		}
+	}
+	return ""
 }
 
 // size validates the graph spec and returns the vertex and edge counts the
@@ -441,36 +495,31 @@ var fieldsByKind = map[string][]string{
 }
 
 // checkStray rejects model fields set to non-zero values that the declared
-// kind does not read.
-func (ms *ModelSpec) checkStray() error {
-	set := map[string]bool{
-		"q":                ms.Q != 0,
-		"lambda":           ms.Lambda != 0,
-		"beta":             ms.Beta != 0,
-		"field":            ms.Field != 0,
-		"lists":            len(ms.Lists) != 0,
-		"edgeActivities":   len(ms.EdgeActivities) != 0,
-		"vertexActivities": len(ms.VertexActivities) != 0,
-		"constraints":      len(ms.Constraints) != 0,
-		"init":             len(ms.Init) != 0,
-		"rounds":           ms.Rounds != 0,
-		"shards":           ms.Shards != 0,
-		"parallel":         ms.Parallel != 0,
+// kind does not read, naming the first in declaration order.
+func (ms *ModelSpec) checkStray(allowed []string) error {
+	fields := [...]setField{
+		{"q", ms.Q != 0},
+		{"lambda", ms.Lambda != 0},
+		{"beta", ms.Beta != 0},
+		{"field", ms.Field != 0},
+		{"lists", len(ms.Lists) != 0},
+		{"edgeActivities", len(ms.EdgeActivities) != 0},
+		{"vertexActivities", len(ms.VertexActivities) != 0},
+		{"constraints", len(ms.Constraints) != 0},
+		{"init", len(ms.Init) != 0},
+		{"rounds", ms.Rounds != 0},
+		{"shards", ms.Shards != 0},
+		{"parallel", ms.Parallel != 0},
 	}
-	for _, f := range fieldsByKind[ms.Kind] {
-		delete(set, f)
-	}
-	for name, isSet := range set {
-		if isSet {
-			return fmt.Errorf("spec: model kind %q does not take field %q", ms.Kind, name)
-		}
+	if name := firstStray(fields[:], allowed); name != "" {
+		return fmt.Errorf("spec: model kind %q does not take field %q", ms.Kind, name)
 	}
 	return nil
 }
 
 func (ms *ModelSpec) validate(n, m int, randomM bool) error {
-	if _, ok := fieldsByKind[ms.Kind]; ok {
-		if err := ms.checkStray(); err != nil {
+	if allowed, ok := fieldsByKind[ms.Kind]; ok {
+		if err := ms.checkStray(allowed); err != nil {
 			return err
 		}
 	}
@@ -567,8 +616,8 @@ func (ms *ModelSpec) validateMRF(n, m int, randomM bool) error {
 		if len(a) != q*q {
 			return fmt.Errorf("spec: mrf edge activity %d has %d entries, want %d", i, len(a), q*q)
 		}
-		if err := checkTable(fmt.Sprintf("edge activity %d", i), a); err != nil {
-			return err
+		if j := badEntry(a); j >= 0 {
+			return fmt.Errorf("spec: edge activity %d has invalid entry %v", i, a[j])
 		}
 	}
 	if len(ms.VertexActivities) != 1 && len(ms.VertexActivities) != n {
@@ -600,15 +649,13 @@ func (ms *ModelSpec) validateCSP(n int) error {
 		if len(c.Scope) == 0 || len(c.Scope) > MaxArity {
 			return fmt.Errorf("spec: constraint %d arity %d out of [1,%d]", i, len(c.Scope), MaxArity)
 		}
-		seen := make(map[int]bool, len(c.Scope))
-		for _, v := range c.Scope {
+		for j, v := range c.Scope {
 			if v < 0 || v >= n {
 				return fmt.Errorf("spec: constraint %d scope vertex %d out of range [0,%d)", i, v, n)
 			}
-			if seen[v] {
+			if slices.Contains(c.Scope[:j], v) {
 				return fmt.Errorf("spec: constraint %d has duplicate scope vertex %d", i, v)
 			}
-			seen[v] = true
 		}
 		switch c.Kind {
 		case "table":
@@ -624,8 +671,8 @@ func (ms *ModelSpec) validateCSP(n int) error {
 			if len(c.Table) != want {
 				return fmt.Errorf("spec: constraint %d table has %d entries, want q^%d = %d", i, len(c.Table), len(c.Scope), want)
 			}
-			if err := checkTable(fmt.Sprintf("constraint %d table", i), c.Table); err != nil {
-				return err
+			if j := badEntry(c.Table); j >= 0 {
+				return fmt.Errorf("spec: constraint %d table has invalid entry %v", i, c.Table[j])
 			}
 			tableEntries += want
 			if tableEntries > MaxTableEntries {
@@ -684,11 +731,13 @@ func checkVertexActivities(bs [][]float64, q int) error {
 	return nil
 }
 
-func checkTable(name string, t []float64) error {
-	for _, x := range t {
+// badEntry returns the index of t's first negative, NaN or infinite entry,
+// or -1.
+func badEntry(t []float64) int {
+	for i, x := range t {
 		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("spec: %s has invalid entry %v", name, x)
+			return i
 		}
 	}
-	return nil
+	return -1
 }
