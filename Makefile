@@ -32,8 +32,8 @@ chaos:
 		./internal/transport/ ./internal/service/ .
 
 bit-identity:
-	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestShardedBitIdentical|TestWithShardsBitIdentical|TestServerShardedDrawBitIdentical|TestParallelRoundsMatchSequential|TestWithParallelRoundsBitIdentical|TestServerParallelDrawBitIdentical|TestTransportEngineBitIdentical|TestRemoteMRFBitIdentical|TestRegistryRemoteWorkers|TestCrossProcessShardedBitIdentical|TestSampleDiagnosedBitIdentical|TestRoundsAuto|TestSoARoundsMatchSequential|TestSampleNSoABitIdentical|TestServedDrawFlavorsBitIdentical|TestOneShotHonorsTransport' \
-		./internal/cluster/ ./internal/chains/ ./internal/service/ .
+	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestShardedBitIdentical|TestWithShardsBitIdentical|TestServerShardedDrawBitIdentical|TestParallelRoundsMatchSequential|TestWithParallelRoundsBitIdentical|TestServerParallelDrawBitIdentical|TestTransportEngineBitIdentical|TestRemoteMRFBitIdentical|TestRegistryRemoteWorkers|TestCrossProcessShardedBitIdentical|TestSampleDiagnosedBitIdentical|TestRoundsAuto|TestSoARoundsMatchSequential|TestSampleNSoABitIdentical|TestServedDrawFlavorsBitIdentical|TestOneShotHonorsTransport|TestSampleNDistributed|TestLsampleSeedsAgree' \
+		./internal/cluster/ ./internal/chains/ ./internal/service/ ./cmd/lsample/ .
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'MatchesReference|TestCSPShardedBitIdentical|TestCSPParallelRoundsMatchSequential|TestWithShardsCSPBitIdentical|TestWithParallelRoundsCSPBitIdentical|TestCSPSamplerBatchDeterminism|TestServerCSPShardedDrawBitIdentical|TestServerCSPParallelDrawBitIdentical|TestRemoteCSPBitIdentical|TestCrossProcessCSPBitIdentical|TestCSPSampleDiagnosedBitIdentical|TestCSPRoundsAuto|TestCSPSoARoundsMatchSequential|TestSampleCSPNSoABitIdentical' \
 		./internal/csp/ ./internal/cluster/ ./internal/service/ .
 

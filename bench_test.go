@@ -95,7 +95,7 @@ func BenchmarkE2DistributedRound(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dist.RunLocalMetropolis(m, init, uint64(i), 10); err != nil {
+		if _, _, err := dist.RunMRF(m, chains.LocalMetropolis, init, uint64(i), 10, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,7 +267,7 @@ func BenchmarkE12Messages(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := dist.RunLubyGlauber(m, init, uint64(i), 5)
+		_, st, err := dist.RunMRF(m, chains.LubyGlauber, init, uint64(i), 5, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func BenchmarkBatchSampleLoop(b *testing.B) {
 }
 
 // BenchmarkBatchSampleN is the engine: the same chains drawn through
-// Sampler.SampleN, which compiles the model once and spreads chains over
+// Sampler.SampleNFrom, which compiles the model once and spreads chains over
 // the worker pool with per-worker scratch reuse. Compare samples/sec
 // against BenchmarkBatchSampleLoop; the engine target is ≥ 4× on an 8-core
 // runner.
@@ -346,7 +346,7 @@ func BenchmarkBatchSampleN(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SampleN(k); err != nil {
+		if _, err := s.SampleNFrom(1, k); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,11 +1,14 @@
 // Command lsample draws samples from a Gibbs distribution with the paper's
-// distributed algorithms and reports round/message statistics. With
-// -count > 1 it uses the batch engine: the model is compiled once and the
-// chains (MRF and CSP alike) are spread over a worker pool. With
-// -shards > 1 every single chain additionally runs shard-parallel on the
-// cluster runtime — bit-identical output, one chain over many cores; with
-// -parallel > 1 each chain's round phases instead fan over goroutines
-// (also bit-identical, no partition plan).
+// distributed algorithms and reports round/message statistics. The model
+// is compiled once and every draw (MRF and CSP alike) goes through the
+// compiled sampler's Draw: chain i of -count chains runs at
+// ChainSeed(-seed, i), exactly as lserved draws, so a single draw and its
+// -trace, -diag and -rounds auto variants are chain 0 of the -count draw.
+// -distributed instead runs that chain 0 on the LOCAL-model simulator and
+// reports its messages. With -shards > 1 every single chain additionally
+// runs shard-parallel on the cluster runtime — bit-identical output, one
+// chain over many cores; with -parallel > 1 each chain's round phases
+// instead fan over goroutines (also bit-identical, no partition plan).
 //
 // Workloads come either from the built-in generator flags or, with
 // -model-file, from a versioned JSON spec — the same wire format
@@ -29,6 +32,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -58,8 +62,8 @@ func main() {
 		eps       = flag.Float64("eps", 0.05, "total-variation target for the automatic round budget")
 		roundsStr = flag.String("rounds", "", "round budget: an integer override, \"auto\" to measure it by coupling coalescence (the theory budget caps the search), or empty for theory")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		distr     = flag.Bool("distributed", false, "run on the LOCAL-model runtime and report message stats")
-		count     = flag.Int("count", 1, "number of independent samples (batch engine when > 1)")
+		distr     = flag.Bool("distributed", false, "run the single chain on the LOCAL-model simulator and report message stats")
+		count     = flag.Int("count", 1, "number of independent samples, spread over the worker pool")
 		workers   = flag.Int("workers", 0, "worker goroutines for -count > 1 (0 = GOMAXPROCS)")
 		shards    = flag.Int("shards", 0, "shard workers per chain (sharded cluster runtime when > 1; MRF and CSP workloads alike; bit-identical output)")
 		parallel  = flag.Int("parallel", 0, "vertex-parallel goroutines per round phase (when > 1; MRF and CSP workloads alike; bit-identical output, exclusive with -shards)")
@@ -103,6 +107,9 @@ func main() {
 	}
 	if roundsAuto && *distr {
 		fatal(fmt.Errorf("-rounds auto is not supported with -distributed"))
+	}
+	if *distr && *count > 1 {
+		fatal(fmt.Errorf("-distributed runs one chain on the LOCAL-model simulator; it is not supported with -count > 1"))
 	}
 
 	strat, err := locsample.ParseShardStrategy(*shardStr)
@@ -194,7 +201,7 @@ func runSpecFile(path, algName string, eps float64, rounds int, seed uint64,
 		algName, eps, rounds, seed, distr, count, workers, shards, parallel, strat, jsonOut, verbose)
 }
 
-// jsonReport is the -json output shape, shared by all three paths.
+// jsonReport is the -json output shape, shared by MRF and CSP runs.
 type jsonReport struct {
 	Graph struct {
 		Kind   string `json:"kind"`
@@ -234,7 +241,9 @@ func emitJSON(r *jsonReport) {
 	}
 }
 
-// runMRF handles single draws and batches of an MRF workload.
+// runMRF draws an MRF workload: -distributed on the LOCAL-model simulator
+// at chain seed ChainSeed(seed, 0), everything else through the compiled
+// sampler's Draw.
 func runMRF(g *locsample.Graph, m *locsample.Model, graphKind, modelDesc, reportKey,
 	algName string, eps float64, rounds int, seed uint64, distr bool,
 	count, workers, shards, parallel int, strat locsample.ShardStrategy, jsonOut, verbose bool) {
@@ -242,19 +251,39 @@ func runMRF(g *locsample.Graph, m *locsample.Model, graphKind, modelDesc, report
 	if err != nil {
 		fatal(err)
 	}
-	opts := []locsample.Option{
-		locsample.WithAlgorithm(alg),
-		locsample.WithEpsilon(eps),
-		locsample.WithSeed(seed),
-	}
+	opts := append(runtimeOpts(workers, shards, parallel, strat),
+		locsample.WithAlgorithm(alg), locsample.WithEpsilon(eps))
 	if rounds > 0 {
 		opts = append(opts, locsample.WithRounds(rounds))
 	}
+	r := &run{g: g, kind: graphKind, model: modelDesc, alg: alg.String(), seed: seed, eps: eps,
+		parallel: parallel, verdict: func(x []int) { report(g, reportKey, x) }}
+	if distr {
+		res, err := locsample.Sample(m, append(opts,
+			locsample.WithSeed(locsample.ChainSeed(seed, 0)), locsample.Distributed())...)
+		if err != nil {
+			fatal(err)
+		}
+		r.samples, r.rounds, r.theory, r.stats = [][]int{res.Sample}, res.Rounds, res.TheoryRounds, &res.Stats
+	} else {
+		s, err := locsample.NewSampler(m, append(opts, locsample.WithSeed(seed))...)
+		if err != nil {
+			fatal(err)
+		}
+		r.draw(s, count)
+	}
+	r.emit(jsonOut, verbose)
+}
+
+// runtimeOpts maps the runtime flags shared by MRF and CSP workloads to
+// sampler options.
+func runtimeOpts(workers, shards, parallel int, strat locsample.ShardStrategy) []locsample.Option {
+	var opts []locsample.Option
 	if roundsAuto {
 		opts = append(opts, locsample.WithRoundsAuto())
 	}
-	if distr {
-		opts = append(opts, locsample.Distributed())
+	if workers > 0 {
+		opts = append(opts, locsample.WithWorkers(workers))
 	}
 	if shards > 1 {
 		opts = append(opts, locsample.WithShards(shards), locsample.WithShardStrategy(strat))
@@ -262,96 +291,112 @@ func runMRF(g *locsample.Graph, m *locsample.Model, graphKind, modelDesc, report
 	if parallel > 1 {
 		opts = append(opts, locsample.WithParallelRounds(parallel))
 	}
+	return opts
+}
 
-	if count > 1 {
-		runBatch(g, m, graphKind, modelDesc, alg, count, workers, parallel, eps, seed, opts, jsonOut, verbose)
-		return
+// drawer is the compiled draw surface Sampler and CSPSampler share.
+type drawer interface {
+	Draw(context.Context, locsample.DrawRequest) (*locsample.Batch, error)
+	CapRounds() int
+	Close() error
+}
+
+// run is one lsample invocation's workload and outcome, MRF or CSP.
+type run struct {
+	g           *locsample.Graph
+	kind, model string
+	alg         string
+	seed        uint64
+	eps         float64
+	parallel    int
+	// verdict prints the validity line for one sample.
+	verdict func(sample []int)
+
+	samples        [][]int
+	rounds, theory int
+	capRounds      int
+	elapsed        time.Duration
+	stats          *locsample.Stats
+	shard          *locsample.ShardStats
+	diagnosis      *locsample.Diagnosis
+}
+
+// draw runs the one compiled draw — count chains at the master seed,
+// traced or diagnosed when the flags ask — and records its outcome. Chain
+// i runs at ChainSeed(seed, i), exactly as lserved draws.
+func (r *run) draw(s drawer, count int) {
+	defer s.Close()
+	start := time.Now()
+	b, err := s.Draw(context.Background(), locsample.DrawRequest{
+		Seed: r.seed, K: count, Trace: traceOut != "", Diagnose: diagOut,
+	})
+	if err != nil {
+		fatal(err)
 	}
-
-	var (
-		res       *locsample.Result
-		diagnosis *locsample.Diagnosis
-		capRounds int
-	)
-	if traceOut != "" || diagOut || roundsAuto {
-		// Paths that need a Sampler: tracing, diagnosed draws, and auto
-		// budgets (CapRounds lives on the sampler, not the result).
-		s, err := locsample.NewSampler(m, opts...)
-		if err != nil {
-			fatal(err)
-		}
-		capRounds = s.CapRounds()
-		switch {
-		case diagOut:
-			res, diagnosis, err = s.SampleDiagnosed()
-		case traceOut != "":
-			var tr *locsample.Trace
-			res, tr, err = s.SampleTraced()
-			if err == nil {
-				writeTraceFile(traceOut, tr)
-			}
-		default:
-			res, err = s.Sample()
-		}
-		s.Close()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		var err error
-		res, err = locsample.Sample(m, opts...)
-		if err != nil {
-			fatal(err)
-		}
+	r.elapsed = time.Since(start)
+	if b.Trace != nil {
+		writeTraceFile(traceOut, b.Trace)
 	}
+	r.samples, r.rounds, r.theory, r.diagnosis = b.Samples, b.Rounds, b.TheoryRounds, b.Diagnosis
+	r.capRounds = s.CapRounds()
+	if b.Shard.Shards > 1 {
+		r.shard = &b.Shard
+	}
+}
 
+// emit reports the run as JSON or text.
+func (r *run) emit(jsonOut, verbose bool) {
+	count := len(r.samples)
 	if jsonOut {
-		r := newJSONReport(g, graphKind, modelDesc, alg.String(), seed)
-		r.Rounds = res.Rounds
-		r.TheoryRounds = res.TheoryRounds
-		r.Count = 1
-		r.CapRounds = capRounds
-		r.Diagnosis = diagnosis
-		if distr {
-			r.Stats = &res.Stats
+		j := newJSONReport(r.g, r.kind, r.model, r.alg, r.seed)
+		j.Rounds, j.TheoryRounds, j.CapRounds, j.Count = r.rounds, r.theory, r.capRounds, count
+		j.Stats, j.ShardStats, j.Diagnosis, j.Samples = r.stats, r.shard, r.diagnosis, r.samples
+		if count > 1 {
+			j.ElapsedMS = float64(r.elapsed.Nanoseconds()) / 1e6
 		}
-		if res.Shard != nil {
-			r.Shards = res.Shard.Shards
-			r.ShardStats = res.Shard
+		if r.shard != nil {
+			j.Shards = r.shard.Shards
 		}
-		if parallel > 1 {
-			r.Parallel = parallel
+		if r.parallel > 1 {
+			j.Parallel = r.parallel
 		}
-		r.Samples = [][]int{res.Sample}
-		emitJSON(r)
+		emitJSON(j)
 		return
 	}
-	fmt.Printf("graph: %s  n=%d  m=%d  Δ=%d\n", graphKind, g.N(), g.M(), g.MaxDeg())
-	fmt.Printf("model: %s\n", modelDesc)
-	fmt.Printf("algorithm: %v  rounds=%d", alg, res.Rounds)
+	fmt.Printf("graph: %s  n=%d  m=%d  Δ=%d\n", r.kind, r.g.N(), r.g.M(), r.g.MaxDeg())
+	fmt.Printf("model: %s\n", r.model)
+	fmt.Printf("algorithm: %s  rounds=%d", r.alg, r.rounds)
 	switch {
 	case roundsAuto:
-		fmt.Printf("  (measured by coupling coalescence, cap %d)", capRounds)
-	case res.TheoryRounds > 0:
-		fmt.Printf("  (theory budget for ε=%g)", eps)
+		fmt.Printf("  (measured by coupling coalescence, cap %d)", r.capRounds)
+	case r.theory > 0:
+		fmt.Printf("  (theory budget for ε=%g)", r.eps)
 	}
 	fmt.Println()
-	if diagnosis != nil {
-		printDiagnosis(diagnosis)
+	if count > 1 {
+		fmt.Printf("batch: %d samples in %v  (%.1f samples/sec)\n",
+			count, r.elapsed.Round(time.Millisecond), float64(count)/r.elapsed.Seconds())
 	}
-	if distr {
-		fmt.Printf("communication: %d messages, %d bytes total, max message %d bytes\n",
-			res.Stats.Messages, res.Stats.Bytes, res.Stats.MaxMessageBytes)
+	if r.diagnosis != nil {
+		printDiagnosis(r.diagnosis)
 	}
-	if res.Shard != nil {
-		printShardStats(res.Shard)
+	if st := r.stats; st != nil {
+		fmt.Printf("communication: %d LOCAL rounds, %d messages, %d bytes total, max message %d bytes\n",
+			st.Rounds, st.Messages, st.Bytes, st.MaxMessageBytes)
 	}
-	if parallel > 1 {
-		fmt.Printf("parallel rounds: %d goroutines per phase\n", parallel)
+	if r.shard != nil {
+		printShardStats(r.shard)
 	}
-	report(g, reportKey, res.Sample)
+	if r.parallel > 1 {
+		fmt.Printf("parallel rounds: %d goroutines per phase\n", r.parallel)
+	}
+	if count > 0 {
+		r.verdict(r.samples[0])
+	}
 	if verbose {
-		fmt.Printf("sample: %v\n", res.Sample)
+		for i, x := range r.samples {
+			fmt.Printf("sample %d: %v\n", i, x)
+		}
 	}
 }
 
@@ -488,248 +533,36 @@ func shortHash(h string) string {
 	return h
 }
 
-// runBatch draws count samples through the batch engine and reports
-// throughput.
-func runBatch(g *locsample.Graph, m *locsample.Model, graphKind, modelDesc string,
-	alg locsample.Algorithm, count, workers, parallel int, eps float64, seed uint64,
-	opts []locsample.Option, jsonOut, verbose bool) {
-	if workers > 0 {
-		opts = append(opts, locsample.WithWorkers(workers))
-	}
-	s, err := locsample.NewSampler(m, opts...)
-	if err != nil {
-		fatal(err)
-	}
-	start := time.Now()
-	batch, err := s.SampleN(count)
-	if err != nil {
-		fatal(err)
-	}
-	elapsed := time.Since(start)
-	if jsonOut {
-		r := newJSONReport(g, graphKind, modelDesc, alg.String(), seed)
-		r.Rounds = batch.Rounds
-		r.TheoryRounds = batch.TheoryRounds
-		r.Count = count
-		r.ElapsedMS = float64(elapsed.Nanoseconds()) / 1e6
-		if batch.Stats.Messages > 0 {
-			r.Stats = &batch.Stats
-		}
-		if batch.Shard.Shards > 1 {
-			r.Shards = batch.Shard.Shards
-			r.ShardStats = &batch.Shard
-		}
-		if parallel > 1 {
-			r.Parallel = parallel
-		}
-		r.Samples = batch.Samples
-		emitJSON(r)
-		return
-	}
-	fmt.Printf("graph: %s  n=%d  m=%d  Δ=%d\n", graphKind, g.N(), g.M(), g.MaxDeg())
-	fmt.Printf("model: %s\n", modelDesc)
-	fmt.Printf("algorithm: %v  rounds=%d", alg, batch.Rounds)
-	if batch.TheoryRounds > 0 {
-		fmt.Printf("  (theory budget for ε=%g)", eps)
-	}
-	fmt.Println()
-	fmt.Printf("batch: %d samples in %v  (%.1f samples/sec)\n",
-		count, elapsed.Round(time.Millisecond), float64(count)/elapsed.Seconds())
-	if batch.Stats.Messages > 0 {
-		fmt.Printf("communication (all chains): %d messages, %d bytes total, max message %d bytes\n",
-			batch.Stats.Messages, batch.Stats.Bytes, batch.Stats.MaxMessageBytes)
-	}
-	if batch.Shard.Shards > 1 {
-		printShardStats(&batch.Shard)
-	}
-	if parallel > 1 {
-		fmt.Printf("parallel rounds: %d goroutines per phase\n", parallel)
-	}
-	if verbose {
-		for i, sample := range batch.Samples {
-			fmt.Printf("sample %d: %v\n", i, sample)
-		}
-	}
-}
-
-// runCSP handles weighted-CSP workloads (the -model domset flag and CSP
-// specs), which go through the CSP engine rather than Sample. With
-// -count > 1 it uses the CSP batch engine: chain i is bit-identical to a
-// single draw with seed ChainSeed(seed, i), the same contract as MRF
-// batches. -shards runs every chain on the sharded cluster runtime over
-// constraint-scope halos and -parallel fans round phases over goroutines —
-// both bit-identical to the sequential chain. domset gates the
-// dominating-set verdict: it is meaningful only for the domset flag path,
-// not for arbitrary q=2 CSP specs.
+// runCSP draws a weighted-CSP workload (the -model domset flag and CSP
+// specs) on the hypergraph LubyGlauber chain, the same ways runMRF draws
+// an MRF: -distributed on the LOCAL-model simulator at ChainSeed(seed, 0),
+// everything else through the compiled CSP sampler's Draw. domset gates
+// the dominating-set verdict: it is meaningful only for the domset flag
+// path, not for arbitrary q=2 CSP specs.
 func runCSP(g *locsample.Graph, c *locsample.CSPModel, init []int, modelDesc string,
 	rounds int, seed uint64, distr bool, count, workers, shards, parallel int,
 	strat locsample.ShardStrategy, jsonOut, verbose, domset bool) {
 	if rounds <= 0 {
 		rounds = 200
 	}
-	var opts []locsample.Option
-	if roundsAuto {
-		opts = append(opts, locsample.WithRoundsAuto())
-	}
-	if shards > 1 {
-		opts = append(opts, locsample.WithShards(shards), locsample.WithShardStrategy(strat))
-	}
-	if parallel > 1 {
-		opts = append(opts, locsample.WithParallelRounds(parallel))
-	}
-	if count > 1 {
-		if distr {
-			fatal(fmt.Errorf("-distributed is not supported with -count > 1 for CSP workloads (batch chains run the centralized replay)"))
-		}
-		runCSPBatch(g, c, init, modelDesc, rounds, seed, count, workers, parallel, opts, jsonOut, verbose, domset)
-		return
-	}
+	opts := runtimeOpts(workers, shards, parallel, strat)
+	r := &run{g: g, kind: "csp", model: modelDesc, alg: "hypergraph lubyglauber", seed: seed,
+		parallel: parallel, verdict: func(x []int) { reportCSP(g, c, x, domset) }}
 	if distr {
-		out, stats, err := locsample.SampleCSP(g, c, init, rounds, seed, true, opts...)
+		out, st, err := locsample.SampleCSP(g, c, init, rounds, locsample.ChainSeed(seed, 0), true, opts...)
 		if err != nil {
 			fatal(err)
 		}
-		if jsonOut {
-			r := newJSONReport(g, "", modelDesc, "hypergraph lubyglauber", seed)
-			r.Graph.Kind = "csp"
-			r.Rounds = rounds
-			r.Count = 1
-			r.Stats = &stats
-			r.Samples = [][]int{out}
-			emitJSON(r)
-			return
-		}
-		fmt.Printf("graph: n=%d m=%d Δ=%d\n", g.N(), g.M(), g.MaxDeg())
-		fmt.Printf("model: %s\n", modelDesc)
-		fmt.Printf("algorithm: hypergraph LubyGlauber, %d chain iterations\n", rounds)
-		fmt.Printf("communication: %d LOCAL rounds, %d messages, max message %d bytes\n",
-			stats.Rounds, stats.Messages, stats.MaxMessageBytes)
-		reportCSP(g, c, out, domset)
-		if verbose {
-			fmt.Printf("sample: %v\n", out)
-		}
-		return
-	}
-	s, err := locsample.NewCSPSampler(g, c, init,
-		append([]locsample.Option{locsample.WithRounds(rounds), locsample.WithSeed(seed)}, opts...)...)
-	if err != nil {
-		fatal(err)
-	}
-	var (
-		out        []int
-		shardStats *locsample.ShardStats
-		diagnosis  *locsample.Diagnosis
-	)
-	capRounds := s.CapRounds()
-	drawRounds := s.Rounds()
-	if diagOut {
-		if out, diagnosis, err = s.SampleDiagnosed(); err != nil {
-			fatal(err)
-		}
-	} else if traceOut != "" {
-		var tr *locsample.Trace
-		out, shardStats, tr, err = s.SampleTraced()
+		r.samples, r.rounds, r.stats = [][]int{out}, rounds, &st
+	} else {
+		s, err := locsample.NewCSPSampler(g, c, init,
+			append(opts, locsample.WithRounds(rounds), locsample.WithSeed(seed))...)
 		if err != nil {
 			fatal(err)
 		}
-		writeTraceFile(traceOut, tr)
-	} else if out, shardStats, err = s.Sample(); err != nil {
-		fatal(err)
+		r.draw(s, count)
 	}
-	if jsonOut {
-		r := newJSONReport(g, "", modelDesc, "hypergraph lubyglauber", seed)
-		r.Graph.Kind = "csp"
-		r.Rounds = drawRounds
-		r.Count = 1
-		r.CapRounds = capRounds
-		r.Diagnosis = diagnosis
-		if shardStats != nil {
-			r.Shards = shardStats.Shards
-			r.ShardStats = shardStats
-		}
-		if parallel > 1 {
-			r.Parallel = parallel
-		}
-		r.Samples = [][]int{out}
-		emitJSON(r)
-		return
-	}
-	fmt.Printf("graph: n=%d m=%d Δ=%d\n", g.N(), g.M(), g.MaxDeg())
-	fmt.Printf("model: %s\n", modelDesc)
-	fmt.Printf("algorithm: hypergraph LubyGlauber, %d chain iterations", drawRounds)
-	if roundsAuto {
-		fmt.Printf("  (measured by coupling coalescence, cap %d)", capRounds)
-	}
-	fmt.Println()
-	if diagnosis != nil {
-		printDiagnosis(diagnosis)
-	}
-	if shardStats != nil {
-		printShardStats(shardStats)
-	}
-	if parallel > 1 {
-		fmt.Printf("parallel rounds: %d goroutines per phase\n", parallel)
-	}
-	reportCSP(g, c, out, domset)
-	if verbose {
-		fmt.Printf("sample: %v\n", out)
-	}
-}
-
-// runCSPBatch draws count CSP samples through the worker-pool batch engine
-// and reports throughput, mirroring runBatch for MRFs.
-func runCSPBatch(g *locsample.Graph, c *locsample.CSPModel, init []int, modelDesc string,
-	rounds int, seed uint64, count, workers, parallel int,
-	opts []locsample.Option, jsonOut, verbose, domset bool) {
-	sopts := append([]locsample.Option{locsample.WithRounds(rounds), locsample.WithSeed(seed)}, opts...)
-	if workers > 0 {
-		sopts = append(sopts, locsample.WithWorkers(workers))
-	}
-	s, err := locsample.NewCSPSampler(g, c, init, sopts...)
-	if err != nil {
-		fatal(err)
-	}
-	start := time.Now()
-	batch, err := s.SampleNFrom(seed, count)
-	if err != nil {
-		fatal(err)
-	}
-	elapsed := time.Since(start)
-	samples := batch.Samples
-	if jsonOut {
-		r := newJSONReport(g, "", modelDesc, "hypergraph lubyglauber", seed)
-		r.Graph.Kind = "csp"
-		r.Rounds = rounds
-		r.Count = count
-		r.ElapsedMS = float64(elapsed.Nanoseconds()) / 1e6
-		if batch.Shard.Shards > 1 {
-			r.Shards = batch.Shard.Shards
-			r.ShardStats = &batch.Shard
-		}
-		if parallel > 1 {
-			r.Parallel = parallel
-		}
-		r.Samples = samples
-		emitJSON(r)
-		return
-	}
-	fmt.Printf("graph: n=%d m=%d Δ=%d\n", g.N(), g.M(), g.MaxDeg())
-	fmt.Printf("model: %s\n", modelDesc)
-	fmt.Printf("algorithm: hypergraph LubyGlauber, %d chain iterations\n", rounds)
-	fmt.Printf("batch: %d samples in %v  (%.1f samples/sec)\n",
-		count, elapsed.Round(time.Millisecond), float64(count)/elapsed.Seconds())
-	if batch.Shard.Shards > 1 {
-		printShardStats(&batch.Shard)
-	}
-	if parallel > 1 {
-		fmt.Printf("parallel rounds: %d goroutines per phase\n", parallel)
-	}
-	if verbose {
-		for i, out := range samples {
-			fmt.Printf("sample %d: %v\n", i, out)
-		}
-	}
-	reportCSP(g, c, samples[len(samples)-1], domset)
+	r.emit(jsonOut, verbose)
 }
 
 // reportCSP prints the validity verdict for one CSP sample.

@@ -1,15 +1,15 @@
 package locsample_test
 
-// Cancellation contract for the context-taking draw paths: a canceled
-// context must stop a draw on every execution path — centralized,
-// in-process sharded, and batch, for MRF and CSP alike — returning the
-// context's error and never a partial sample. An unconcerned
-// background context must change nothing: the draw stays bit-identical
-// to the non-context entry points.
+// Cancellation contract for Draw: a canceled context must stop a draw on
+// every execution path — centralized, in-process sharded, and batch, for
+// MRF and CSP alike, plain, traced and diagnosed — returning the context's
+// error and never a partial sample. An unconcerned background context
+// must change nothing: the draw stays bit-identical to SampleNFrom.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -32,15 +32,7 @@ func TestSampleContextCanceledBeforeStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SampleContext(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards=%d: SampleContext = %v, want context.Canceled", shards, err)
-		}
-		if _, err := s.SampleNContext(ctx, 3, 2); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards=%d: SampleNContext = %v, want context.Canceled", shards, err)
-		}
-		if _, _, err := s.SampleTracedContext(ctx, 3); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards=%d: SampleTracedContext = %v, want context.Canceled", shards, err)
-		}
+		expectCanceled(t, ctx, s, fmt.Sprintf("shards=%d", shards))
 		s.Close()
 	}
 
@@ -58,13 +50,24 @@ func TestSampleContextCanceledBeforeStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.SampleContext(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("csp shards=%d: SampleContext = %v, want context.Canceled", shards, err)
-		}
-		if _, err := s.SampleNContext(ctx, 3, 2); !errors.Is(err, context.Canceled) {
-			t.Fatalf("csp shards=%d: SampleNContext = %v, want context.Canceled", shards, err)
-		}
+		expectCanceled(t, ctx, s, fmt.Sprintf("csp shards=%d", shards))
 		s.Close()
+	}
+}
+
+// expectCanceled requires every draw flavor on s under the canceled ctx to
+// fail with context.Canceled.
+func expectCanceled(t *testing.T, ctx context.Context, s drawer, name string) {
+	t.Helper()
+	for _, req := range []locsample.DrawRequest{
+		{Seed: 3, K: 1},
+		{Seed: 3, K: 2},
+		{Seed: 3, K: 1, Trace: true},
+		{Seed: 3, K: 1, Diagnose: true},
+	} {
+		if _, err := s.Draw(ctx, req); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Draw(%+v) = %v, want context.Canceled", name, req, err)
+		}
 	}
 }
 
@@ -85,7 +88,7 @@ func TestSampleContextBackgroundBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := s.SampleNContext(ctx, 11, 2)
+	withCtx, err := s.Draw(ctx, locsample.DrawRequest{Seed: 11, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestSampleContextBackgroundBitIdentical(t *testing.T) {
 	// must never be returned to the pool.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := s.SampleNContext(canceled, 11, 2); !errors.Is(err, context.Canceled) {
+	if _, err := s.Draw(canceled, locsample.DrawRequest{Seed: 11, K: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled batch = %v, want context.Canceled", err)
 	}
 	again, err := s.SampleNFrom(11, 2)

@@ -58,13 +58,13 @@ type CSPSampler struct {
 
 // NewCSPSampler compiles CSP c on network g with the given options into a
 // reusable sampler. init must be feasible and WithRounds must supply a
-// positive budget (CSPs have no theory budget). Distributed draws go
-// through SampleCSP instead.
+// positive budget (CSPs have no theory budget). LOCAL-model draws are
+// one-shot only: use SampleCSP(..., distributed=true).
 func NewCSPSampler(g *Graph, c *CSPModel, init []int, opts ...Option) (*CSPSampler, error) {
 	cfg := cspConfig(opts)
 	cfg.Init = init
 	if cfg.Distributed {
-		return nil, fmt.Errorf("locsample: the batch CSP sampler runs the centralized replay; use SampleCSP(..., distributed=true) for the LOCAL-model runtime")
+		return nil, fmt.Errorf("locsample: compiled samplers run the chain runtimes; use SampleCSP(..., distributed=true) for the LOCAL-model runtime")
 	}
 	return compileCSP(g, c, cfg)
 }
@@ -79,7 +79,7 @@ func cspConfig(opts []Option) core.Config {
 }
 
 // compileCSP compiles CSP c under an already-resolved config — the one
-// constructor behind NewCSPSampler, SampleCSP and SampleCSPN.
+// constructor behind NewCSPSampler and SampleCSP.
 func compileCSP(g *Graph, c *CSPModel, cfg core.Config) (*CSPSampler, error) {
 	if g != nil && g.N() != c.N {
 		return nil, fmt.Errorf("locsample: CSP has %d vertices, network %d", c.N, g.N())
@@ -94,45 +94,6 @@ func compileCSP(g *Graph, c *CSPModel, cfg core.Config) (*CSPSampler, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Sample draws one configuration with the compiled settings and the master
-// seed, exactly as the package-level SampleCSP would.
-func (s *CSPSampler) Sample() ([]int, *ShardStats, error) {
-	return s.SampleContext(context.Background())
-}
-
-// SampleContext is Sample under a context; cancellation behaves as in
-// Draw and never yields a partial sample.
-func (s *CSPSampler) SampleContext(ctx context.Context) ([]int, *ShardStats, error) {
-	res, err := s.drawOne(ctx, s.cfg.Seed, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Sample, res.Shard, nil
-}
-
-// SampleTraced draws one configuration exactly like Sample while
-// recording a timing trace (see DrawRequest.Trace). The sample is
-// bit-identical to an untraced draw.
-func (s *CSPSampler) SampleTraced() ([]int, *ShardStats, *Trace, error) {
-	tr := s.newTrace()
-	res, err := s.drawOne(context.Background(), s.cfg.Seed, tr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res.Sample, res.Shard, tr, nil
-}
-
-// SampleDiagnosed draws one configuration exactly like Sample while
-// running a grand coupling alongside it (see DrawRequest.Diagnose); the
-// sample is bit-identical to an undiagnosed draw at the same seed.
-func (s *CSPSampler) SampleDiagnosed() ([]int, *Diagnosis, error) {
-	res, d, err := s.diagnose(context.Background(), s.cfg.Seed, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Sample, d, nil
 }
 
 // cspFamily is the CSP side of the draw core: the hypergraph LubyGlauber
@@ -187,10 +148,6 @@ func (f *cspFamily) remoteJob() (remoteJob, error) {
 	return remoteJob{kind: "csp", spec: sp}, nil
 }
 
-func (f *cspFamily) runLOCAL(seed uint64, rounds int) ([]int, Stats, error) {
-	return dist.RunCSPLubyGlauber(f.g, f.c, f.init, seed, rounds)
-}
-
 // SampleCSP draws one configuration approximately distributed as the CSP's
 // Gibbs distribution using the hypergraph LubyGlauber chain (§3 remark).
 // When distributed is true the chain runs as a LOCAL protocol on network g
@@ -202,7 +159,9 @@ func (f *cspFamily) runLOCAL(seed uint64, rounds int) ([]int, Stats, error) {
 // partition (in-process, or on WithRemoteWorkers), WithParallelRounds(n)
 // fans each round's phases over n goroutines — all bit-identical to the
 // sequential chain at the same seed, and all exclusive with distributed
-// mode.
+// mode. SampleCSP is the exact-seed reference of the compiled CSP draw:
+// chain i of CSPSampler.Draw with seed s equals SampleCSP at seed
+// ChainSeed(s, i).
 func SampleCSP(g *Graph, c *CSPModel, init []int, rounds int, seed uint64, distributed bool, opts ...Option) ([]int, Stats, error) {
 	if rounds <= 0 {
 		return nil, Stats{}, fmt.Errorf("locsample: SampleCSP needs rounds > 0")
@@ -215,44 +174,14 @@ func SampleCSP(g *Graph, c *CSPModel, init []int, rounds int, seed uint64, distr
 		return nil, Stats{}, err
 	}
 	defer s.Close()
-	res, err := s.drawOne(context.Background(), seed, nil)
+	if cfg.Distributed {
+		// The compile resolved and validated the budget, init and runtime;
+		// the LOCAL-model protocol runs exactly that chain.
+		return dist.RunCSPLubyGlauber(g, c, s.init, seed, s.rounds)
+	}
+	x, _, err := s.drawOne(context.Background(), seed, nil)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if !cfg.Distributed {
-		res.Stats.Rounds = rounds
-	}
-	return res.Sample, res.Stats, nil
-}
-
-// SampleCSPN draws k independent CSP samples over a worker pool — the CSP
-// counterpart of Sampler.SampleN, with the same determinism contract:
-// chain i is bit-identical to SampleCSP(g, c, init, rounds, ChainSeed(seed,
-// i), false), regardless of k, worker count, or scheduling. Feasibility of
-// init is validated once; workers <= 0 means GOMAXPROCS. All samples share
-// one flat backing array, and each worker reuses one chain scratch, so the
-// steady-state inner loops allocate nothing. Options as in SampleCSP
-// (distributed batches are not supported).
-func SampleCSPN(g *Graph, c *CSPModel, init []int, rounds int, seed uint64, k, workers int, opts ...Option) ([][]int, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("locsample: SampleCSPN needs rounds > 0")
-	}
-	cfg := cspConfig(opts)
-	cfg.Algorithm, cfg.Rounds, cfg.Seed, cfg.Init = chains.LubyGlauber, rounds, seed, init
-	if workers > 0 {
-		cfg.Workers = workers
-	}
-	if cfg.Distributed {
-		return nil, fmt.Errorf("locsample: SampleCSPN runs the centralized replay; Distributed batches are not supported")
-	}
-	s, err := compileCSP(g, c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	batch, err := s.sampleN(context.Background(), seed, k)
-	if err != nil {
-		return nil, err
-	}
-	return batch.Samples, nil
+	return x, Stats{Rounds: s.rounds}, nil
 }

@@ -1,11 +1,27 @@
 package locsample
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
-// The diagnosed-draw pins: SampleDiagnosed is Sample plus a mixing
-// report, never a different draw. Chain 0 of the coupling IS the chain
-// that produces the sample, so at the same seed the two must be
+// The diagnosed-draw pins: a diagnosed draw is the plain draw plus a
+// mixing report, never a different draw. Chain 0 of the coupling IS the
+// chain that produces the sample, so at the same seed the two must be
 // bit-identical — centralized, sharded, MRF and CSP alike.
+
+// drawOne runs the one-chain draw req on s and fails the test on error.
+func drawOne(t *testing.T, s interface {
+	Draw(context.Context, DrawRequest) (*Batch, error)
+}, req DrawRequest) *Batch {
+	t.Helper()
+	req.K = 1
+	b, err := s.Draw(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 func TestSampleDiagnosedBitIdentical(t *testing.T) {
 	m := NewColoring(GridGraph(6, 6), 16)
@@ -23,19 +39,14 @@ func TestSampleDiagnosedBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			plain, err := s.Sample()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, diag, err := s.SampleDiagnosed()
-			if err != nil {
-				t.Fatal(err)
-			}
+			plain := drawOne(t, s, DrawRequest{Seed: 42}).Samples[0]
+			res := drawOne(t, s, DrawRequest{Seed: 42, Diagnose: true})
+			diag := res.Diagnosis
 			if diag == nil || diag.Chains < 2 || diag.Rounds != s.Rounds() {
 				t.Fatalf("bad diagnosis: %+v", diag)
 			}
-			for v := range plain.Sample {
-				if plain.Sample[v] != res.Sample[v] {
+			for v := range plain {
+				if plain[v] != res.Samples[0][v] {
 					t.Fatalf("diagnosed draw diverged from plain draw at vertex %d", v)
 				}
 			}
@@ -68,19 +79,13 @@ func TestRoundsAutoMeasuredBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fixed.Close()
-	a, err := auto.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := fixed.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := drawOne(t, auto, DrawRequest{Seed: 42})
+	f := drawOne(t, fixed, DrawRequest{Seed: 42})
 	if a.Rounds != auto.Rounds() {
 		t.Fatalf("draw ran %d rounds, sampler resolved %d", a.Rounds, auto.Rounds())
 	}
-	for v := range a.Sample {
-		if a.Sample[v] != f.Sample[v] {
+	for v := range a.Samples[0] {
+		if a.Samples[0][v] != f.Samples[0][v] {
 			t.Fatalf("auto draw diverged from fixed-budget draw at vertex %d", v)
 		}
 	}
@@ -115,14 +120,9 @@ func TestCSPSampleDiagnosedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	plain, _, err := s.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, diag, err := s.SampleDiagnosed()
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := drawOne(t, s, DrawRequest{Seed: 13}).Samples[0]
+	res := drawOne(t, s, DrawRequest{Seed: 13, Diagnose: true})
+	out, diag := res.Samples[0], res.Diagnosis
 	if diag == nil || diag.Rounds != s.Rounds() {
 		t.Fatalf("bad diagnosis: %+v", diag)
 	}
@@ -157,14 +157,8 @@ func TestCSPRoundsAutoMeasuredBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fixed.Close()
-	a, _, err := auto.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, _, err := fixed.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := drawOne(t, auto, DrawRequest{Seed: 13}).Samples[0]
+	f := drawOne(t, fixed, DrawRequest{Seed: 13}).Samples[0]
 	for v := range a {
 		if a[v] != f[v] {
 			t.Fatalf("auto CSP draw diverged from fixed-budget draw at vertex %d", v)

@@ -27,10 +27,6 @@ type Batch struct {
 	// TheoryRounds is the automatic round budget (0 when WithRounds was
 	// supplied, and always for CSPs).
 	TheoryRounds int
-	// Stats aggregates communication across all chains of a distributed
-	// batch: message/byte counts are summed, MaxMessageBytes and Rounds
-	// are per-chain maxima. Zero for centralized batches.
-	Stats Stats
 	// Shard aggregates the sharded runtime's profile across all chains
 	// (messages, values, and barrier waits are summed). Zero for
 	// unsharded batches.
@@ -46,10 +42,6 @@ type Batch struct {
 	// (DrawRequest.Diagnose); nil otherwise.
 	Diagnosis *Diagnosis
 }
-
-// CSPBatch is the result of a CSP batch draw: the same Batch MRF draws
-// return.
-type CSPBatch = Batch
 
 // DrawRequest parameterizes one Draw.
 type DrawRequest struct {
@@ -94,9 +86,6 @@ type family interface {
 	newCoupled(seed uint64, o diag.Options) (*diag.Coupled, error)
 	// remoteJob returns the job remote workers host: model spec and chain.
 	remoteJob() (remoteJob, error)
-	// runLOCAL runs one chain as a message-passing protocol on the
-	// LOCAL-model simulator (Distributed).
-	runLOCAL(seed uint64, rounds int) ([]int, Stats, error)
 }
 
 // chainState is one pooled centralized chain: a chains.Sampler or a
@@ -308,51 +297,28 @@ func (d *drawCore) Draw(ctx context.Context, req DrawRequest) (*Batch, error) {
 		return d.sampleN(ctx, req.Seed, req.K)
 	}
 	seed := core.ChainSeed(req.Seed, 0)
+	b := &Batch{Rounds: d.rounds, TheoryRounds: d.theory}
 	var (
-		res *Result
-		tr  *Trace
-		dg  *Diagnosis
+		x   []int
 		err error
 	)
 	if req.Trace {
-		tr = d.newTrace()
-		res, err = d.drawOne(ctx, seed, tr)
+		b.Trace = d.newTrace()
+		x, b.Shard, err = d.drawOne(ctx, seed, b.Trace)
 	} else {
-		res, dg, err = d.diagnose(ctx, seed, req.Probe)
+		x, b.Diagnosis, err = d.diagnose(ctx, seed, req.Probe)
 	}
 	if err != nil {
 		return nil, err
 	}
-	b := &Batch{
-		Samples:      [][]int{res.Sample},
-		Rounds:       res.Rounds,
-		TheoryRounds: res.TheoryRounds,
-		Stats:        res.Stats,
-		Trace:        tr,
-		Diagnosis:    dg,
-	}
-	if res.Shard != nil {
-		b.Shard = *res.Shard
-	}
+	b.Samples = [][]int{x}
 	return b, nil
 }
 
-// SampleN draws k independent samples with the compiled master seed: it
-// is Draw with DrawRequest{Seed: WithSeed's value, K: k}.
-func (d *drawCore) SampleN(k int) (*Batch, error) {
-	return d.sampleN(context.Background(), d.cfg.Seed, k)
-}
-
-// SampleNFrom is SampleN with an explicit master seed: Draw with
-// DrawRequest{Seed: seed, K: k}.
+// SampleNFrom is the plain k-chain draw, Draw with
+// DrawRequest{Seed: seed, K: k}, without a context.
 func (d *drawCore) SampleNFrom(seed uint64, k int) (*Batch, error) {
 	return d.sampleN(context.Background(), seed, k)
-}
-
-// SampleNContext is SampleNFrom under a context; cancellation behaves as
-// in Draw.
-func (d *drawCore) SampleNContext(ctx context.Context, seed uint64, k int) (*Batch, error) {
-	return d.sampleN(ctx, seed, k)
 }
 
 // newTrace starts a traced draw's trace.
@@ -380,58 +346,44 @@ func (d *drawCore) observeDraws(start time.Time, chains int) {
 }
 
 // drawOne draws one configuration with chain seed `seed` (used as is, not
-// derived), recording its timing trace into tr when tr is non-nil.
-func (d *drawCore) drawOne(ctx context.Context, seed uint64, tr *Trace) (*Result, error) {
+// derived), recording its timing trace into tr when tr is non-nil, and
+// returns it with its shard profile (zero when unsharded).
+func (d *drawCore) drawOne(ctx context.Context, seed uint64, tr *Trace) ([]int, ShardStats, error) {
 	if err := ctxErr(ctx); err != nil {
-		return nil, err
+		return nil, ShardStats{}, err
 	}
 	abort := new(atomic.Bool)
 	defer ctxWatch(ctx, func() { abort.Store(true) })()
 	out := make([]int, len(d.init))
-	st, ls, err := d.runChain(ctx, seed, out, abort, tr)
+	st, err := d.runChain(ctx, seed, out, abort, tr)
 	if err != nil {
-		return nil, err
+		return nil, ShardStats{}, err
 	}
-	res := &Result{Sample: out, Rounds: d.rounds, TheoryRounds: d.theory, Stats: ls}
-	if d.shards > 1 {
-		res.Shard = &st
-	}
-	return res, nil
+	return out, st, nil
 }
 
 // runChain runs one chain at seed into out on the compiled runtime and
-// returns its shard profile (sharded and remote draws) and LOCAL-model
-// statistics (Distributed draws). abort is the flag centralized chains
-// poll at round boundaries; the caller arms it on ctx.
+// returns its shard profile (sharded and remote draws). abort is the flag
+// centralized chains poll at round boundaries; the caller arms it on ctx.
 // A non-nil tr records the chain's per-round spans and a draw-level span;
-// remote draws graft their workers' spans instead, and the LOCAL-model
-// runtime has no per-round hooks, so it records only the draw span.
-func (d *drawCore) runChain(ctx context.Context, seed uint64, out []int, abort *atomic.Bool, tr *Trace) (ShardStats, Stats, error) {
+// remote draws graft their workers' spans instead.
+func (d *drawCore) runChain(ctx context.Context, seed uint64, out []int, abort *atomic.Bool, tr *Trace) (ShardStats, error) {
 	start := time.Now()
 	var (
 		t0  int64
 		rec *obs.RoundRecorder
 		st  ShardStats
-		ls  Stats
 		err error
 	)
-	if tr != nil {
+	if tr != nil && d.remote == nil {
 		t0 = tr.Now()
-		if d.remote == nil && !d.cfg.Distributed {
-			rec = obs.NewRoundRecorder(d.shards, d.rounds)
-		}
+		rec = obs.NewRoundRecorder(d.shards, d.rounds)
 	}
 	switch {
 	case d.remote != nil:
 		st, err = d.remote.draw(ctx, seed, d.rounds, out, tr)
 	case d.shards > 1:
 		st, err = d.runEngine(ctx, seed, out, rec)
-	case d.cfg.Distributed:
-		var x []int
-		if x, ls, err = d.fam.runLOCAL(seed, d.rounds); err == nil {
-			copy(out, x)
-			err = ctxErr(ctx)
-		}
 	default:
 		cs := d.chainPool.Get().(*chainState)
 		if rec != nil {
@@ -446,12 +398,10 @@ func (d *drawCore) runChain(ctx context.Context, seed uint64, out []int, abort *
 		err = ctxErr(ctx)
 	}
 	if err != nil {
-		return st, ls, err
+		return st, err
 	}
-	if tr != nil && d.remote == nil {
-		if rec != nil {
-			rec.FlushTo(tr, 0)
-		}
+	if rec != nil {
+		rec.FlushTo(tr, 0)
 		span := obs.Span{Name: "draw", StartNS: t0, DurNS: tr.Now() - t0}
 		span.SetArg("seed", int64(seed))
 		span.SetArg("rounds", int64(d.rounds))
@@ -459,7 +409,7 @@ func (d *drawCore) runChain(ctx context.Context, seed uint64, out []int, abort *
 		tr.Add(span)
 	}
 	d.observeDraws(start, 1)
-	return st, ls, nil
+	return st, nil
 }
 
 // runEngine runs one chain on a pooled shard engine, teeing its rounds
@@ -491,7 +441,7 @@ func (d *drawCore) runEngine(ctx context.Context, seed uint64, out []int, rec *o
 // diagnose draws one configuration at chain seed `seed` with a grand
 // coupling alongside it (see DrawRequest.Diagnose), reporting each round
 // to probe when non-nil.
-func (d *drawCore) diagnose(ctx context.Context, seed uint64, probe CouplingProbe) (*Result, *Diagnosis, error) {
+func (d *drawCore) diagnose(ctx context.Context, seed uint64, probe CouplingProbe) ([]int, *Diagnosis, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, nil, err
 	}
@@ -503,7 +453,7 @@ func (d *drawCore) diagnose(ctx context.Context, seed uint64, probe CouplingProb
 	c.Run(d.rounds)
 	out := append([]int(nil), c.X()...)
 	d.observeDraws(start, 1)
-	return &Result{Sample: out, Rounds: d.rounds, TheoryRounds: d.theory}, c.Finish(), nil
+	return out, c.Finish(), nil
 }
 
 // sampleN draws k independent chains, chain i at ChainSeed(seed, i). In
@@ -514,7 +464,7 @@ func (d *drawCore) diagnose(ctx context.Context, seed uint64, probe CouplingProb
 // shard-parallel inside it.
 func (d *drawCore) sampleN(ctx context.Context, seed uint64, k int) (*Batch, error) {
 	if k < 0 {
-		return nil, fmt.Errorf("locsample: SampleN needs k >= 0, got %d", k)
+		return nil, fmt.Errorf("locsample: a draw needs K >= 0, got %d", k)
 	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -546,22 +496,16 @@ func (d *drawCore) sampleN(ctx context.Context, seed uint64, k int) (*Batch, err
 		return batch, nil
 	}
 	shard := make([]ShardStats, k)
-	local := make([]Stats, k)
 	err := fanOut(ctx, workers, k, func(i int, abort *atomic.Bool) error {
 		var err error
-		shard[i], local[i], err = d.runChain(ctx, core.ChainSeed(seed, uint64(i)), batch.Samples[i], abort, nil)
+		shard[i], err = d.runChain(ctx, core.ChainSeed(seed, uint64(i)), batch.Samples[i], abort, nil)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range shard {
-		batch.Shard.Add(shard[i])
-		st := &batch.Stats
-		st.Messages += local[i].Messages
-		st.Bytes += local[i].Bytes
-		st.MaxMessageBytes = max(st.MaxMessageBytes, local[i].MaxMessageBytes)
-		st.Rounds = max(st.Rounds, local[i].Rounds)
+	for _, st := range shard {
+		batch.Shard.Add(st)
 	}
 	return batch, nil
 }
@@ -593,7 +537,7 @@ func (d *drawCore) workers() int {
 // per-chain path. Only centralized sequential chains with an SoA kernel
 // batch.
 func (d *drawCore) soaWidth(k, workers int) int {
-	if d.shards > 1 || d.cfg.Distributed || d.cfg.Parallel > 1 || !soaBatchable(d.cfg.Algorithm) {
+	if d.shards > 1 || d.cfg.Parallel > 1 || !soaBatchable(d.cfg.Algorithm) {
 		return 0
 	}
 	return batchWidth(d.cfg.BatchWidth, k, workers)

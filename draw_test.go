@@ -19,6 +19,17 @@ type drawer interface {
 	Close() error
 }
 
+// drawOne runs the one-chain draw req on s and fails the test on error.
+func drawOne(t testing.TB, s drawer, req locsample.DrawRequest) *locsample.Batch {
+	t.Helper()
+	req.K = 1
+	b, err := s.Draw(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestDrawFlavorsMatchChainZero pins Draw's contract on both families and
 // every in-chain runtime: a traced or diagnosed K=1 draw is chain 0 of the
 // plain draw at the same seed, and carries its trace or diagnosis.

@@ -1,7 +1,6 @@
 package locsample
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 
@@ -17,18 +16,16 @@ import (
 // once — round budget, feasible initial configuration, proposal tables, CSR
 // adjacency, and (with WithShards) the partitioned shard plan — and then
 // draws any number of independent samples without repeating that setup.
-// Draw (and SampleN) spreads chains over a worker pool; each worker reuses
-// pooled chain state and scratch, so the chains' inner loops run
-// allocation-free in the steady state. With WithShards(k), every chain
+// Draw, its one draw method, spreads chains over a worker pool; each
+// worker reuses pooled chain state and scratch, so the chains' inner loops
+// run allocation-free in the steady state. With WithShards(k), every chain
 // additionally runs as k lockstep shard workers exchanging only boundary
 // states — within-chain parallelism for single-draw latency on graphs too
 // large for one core.
 //
 // Determinism: chain i of a k-chain draw with master seed s is
-// bit-identical to a single Sample call with seed ChainSeed(s, i),
-// regardless of k, worker count, scheduling, shard count, or partition
-// strategy. Sampler.Sample() is bit-identical to the package level Sample
-// with the same options.
+// bit-identical to a one-shot Sample with seed ChainSeed(s, i), regardless
+// of k, worker count, scheduling, shard count, or partition strategy.
 type Sampler struct {
 	drawCore
 }
@@ -52,12 +49,12 @@ const (
 )
 
 // ChainSeed derives the seed batch chain i runs with under master seed s:
-// SampleN chain i equals Sample(WithSeed(ChainSeed(s, i))) bit-for-bit.
+// chain i of Draw equals Sample(WithSeed(ChainSeed(s, i))) bit-for-bit.
 func ChainSeed(s uint64, i int) uint64 {
 	return core.ChainSeed(s, uint64(i))
 }
 
-// WithWorkers bounds the goroutine pool SampleN uses (default GOMAXPROCS,
+// WithWorkers bounds the goroutine pool Draw uses (default GOMAXPROCS,
 // or GOMAXPROCS/shards when sharding). It does not affect results, only
 // how chains are spread over CPUs.
 func WithWorkers(n int) Option {
@@ -90,7 +87,7 @@ func WithShardStrategy(s ShardStrategy) Option {
 // cores. Trajectories are bit-identical to sequential rounds at every
 // worker count, so n is purely a latency knob. Only LubyGlauber and
 // LocalMetropolis support it; it is mutually exclusive with WithShards and
-// WithDistributed.
+// Distributed.
 func WithParallelRounds(n int) Option {
 	return func(c *core.Config) {
 		if n <= 0 {
@@ -109,10 +106,14 @@ func ParseShardStrategy(s string) (ShardStrategy, error) {
 // NewSampler compiles model m with the given options into a reusable
 // sampler. The round budget, the greedy feasible initial configuration,
 // and (when sharded) the partition plan are resolved once, here; they are
-// exactly the values every individual Sample call with the same options
-// would resolve.
+// exactly the values a one-shot Sample with the same options resolves.
+// LOCAL-model draws are one-shot only: NewSampler rejects Distributed.
 func NewSampler(m *Model, opts ...Option) (*Sampler, error) {
-	return compileMRF(m, mrfConfig(opts))
+	cfg := mrfConfig(opts)
+	if cfg.Distributed {
+		return nil, fmt.Errorf("locsample: compiled samplers run the chain runtimes; use the one-shot Sample for the LOCAL-model runtime (Distributed)")
+	}
+	return compileMRF(m, cfg)
 }
 
 // mrfConfig resolves MRF options into a config.
@@ -138,43 +139,6 @@ func compileMRF(m *Model, cfg core.Config) (*Sampler, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Sample draws one configuration with the compiled settings and the master
-// seed, exactly as the package-level Sample would.
-func (s *Sampler) Sample() (*Result, error) { return s.drawOne(context.Background(), s.cfg.Seed, nil) }
-
-// SampleContext is Sample under a context; cancellation behaves as in
-// Draw and never yields a partial sample.
-func (s *Sampler) SampleContext(ctx context.Context) (*Result, error) {
-	return s.drawOne(ctx, s.cfg.Seed, nil)
-}
-
-// SampleTraced draws one configuration exactly like Sample while
-// recording a timing trace (see DrawRequest.Trace). The sample is
-// bit-identical to an untraced draw at the same seed. Render the trace
-// with Trace.WriteChrome for chrome://tracing / Perfetto.
-func (s *Sampler) SampleTraced() (*Result, *Trace, error) {
-	return s.SampleTracedContext(context.Background(), s.cfg.Seed)
-}
-
-// SampleTracedContext is SampleTraced under a context, with an explicit
-// seed (used as is, not derived).
-func (s *Sampler) SampleTracedContext(ctx context.Context, seed uint64) (*Result, *Trace, error) {
-	tr := s.newTrace()
-	res, err := s.drawOne(ctx, seed, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr, nil
-}
-
-// SampleDiagnosed draws one configuration exactly like Sample while
-// running a grand coupling alongside it (see DrawRequest.Diagnose); the
-// sample is bit-identical to an undiagnosed Sample at the same seed.
-// Diagnosed draws run centralized, so Result.Shard is nil.
-func (s *Sampler) SampleDiagnosed() (*Result, *Diagnosis, error) {
-	return s.diagnose(context.Background(), s.cfg.Seed, nil)
 }
 
 // mrfFamily is the MRF side of the draw core.
@@ -228,14 +192,4 @@ func (f *mrfFamily) remoteJob() (remoteJob, error) {
 		}
 	}
 	return remoteJob{kind: "mrf", spec: sp, algorithm: f.cfg.Algorithm.String(), dropRule3: f.cfg.DropRule3}, nil
-}
-
-func (f *mrfFamily) runLOCAL(seed uint64, rounds int) ([]int, Stats, error) {
-	cfg := f.cfg
-	cfg.Seed, cfg.Rounds, cfg.RoundsAuto, cfg.Init = seed, rounds, false, f.init
-	res, err := core.Sample(f.m, cfg)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return res.Sample, res.Stats, nil
 }

@@ -40,7 +40,12 @@ func TestWithShardsCSPBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	// The compiled sampler path reports shard stats.
+	// The compiled sampler path reports shard stats; its draw is chain 0
+	// at ChainSeed(seed, 0).
+	chain0, _, err := locsample.SampleCSP(g, c, init, rounds, locsample.ChainSeed(seed, 0), false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := locsample.NewCSPSampler(g, c, init,
 		locsample.WithRounds(rounds), locsample.WithSeed(seed), locsample.WithShards(4))
 	if err != nil {
@@ -49,14 +54,11 @@ func TestWithShardsCSPBitIdentical(t *testing.T) {
 	if s.Shards() != 4 {
 		t.Fatalf("sampler reports %d shards, want 4", s.Shards())
 	}
-	out, st, err := s.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, want) {
+	b := drawOne(t, s, locsample.DrawRequest{Seed: seed})
+	if !reflect.DeepEqual(b.Samples[0], chain0) {
 		t.Fatal("compiled sharded CSP sampler diverges from centralized draw")
 	}
-	if st == nil || st.Shards != 4 || st.BoundaryMessages == 0 {
+	if st := b.Shard; st.Shards != 4 || st.BoundaryMessages == 0 {
 		t.Fatalf("missing shard stats: %+v", st)
 	}
 }
@@ -88,11 +90,11 @@ func TestWithParallelRoundsCSPBitIdentical(t *testing.T) {
 	if s.ParallelRounds() != 3 {
 		t.Fatalf("sampler reports %d parallel workers, want 3", s.ParallelRounds())
 	}
-	out, _, err := s.Sample()
+	chain0, _, err := locsample.SampleCSP(g, c, init, rounds, locsample.ChainSeed(seed, 0), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, want) {
+	if out := drawOne(t, s, locsample.DrawRequest{Seed: seed}).Samples[0]; !reflect.DeepEqual(out, chain0) {
 		t.Fatal("compiled parallel CSP sampler diverges from sequential draw")
 	}
 }
@@ -127,14 +129,6 @@ func TestCSPSamplerBatchDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(batch.Samples, want) {
 			t.Fatalf("%s: batch chains diverge from derived-seed singles", name)
-		}
-		// SampleCSPN carries the same contract through the convenience form.
-		samples, err := locsample.SampleCSPN(g, c, init, rounds, seed, k, 0, opts...)
-		if err != nil {
-			t.Fatalf("%s: SampleCSPN: %v", name, err)
-		}
-		if !reflect.DeepEqual(samples, want) {
-			t.Fatalf("%s: SampleCSPN diverges from derived-seed singles", name)
 		}
 	}
 }

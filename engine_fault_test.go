@@ -1,12 +1,13 @@
 package locsample_test
 
 // Error-path contract of sharded draws at the public API: when the
-// boundary fabric fails mid-draw, SampleN must abort fast with a typed
+// boundary fabric fails mid-draw, a batch draw must abort fast with a typed
 // transport error — never hang, never return a silently wrong batch —
 // and the sampler must stay usable for diagnosis (further draws return
 // errors, not panics).
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -55,29 +56,29 @@ func TestShardedSampleNFailsFast(t *testing.T) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		b, err := s.SampleN(4)
+		b, err := s.SampleNFrom(3, 4)
 		done <- res{b, err}
 	}()
 	select {
 	case r := <-done:
 		if r.err == nil {
-			t.Fatal("every chain's fabric drops a frame, yet SampleN succeeded")
+			t.Fatal("every chain's fabric drops a frame, yet the draw succeeded")
 		}
 		if !transportFailure(r.err) {
 			t.Fatalf("error %v is not a typed transport failure", r.err)
 		}
 		if r.batch != nil {
-			t.Fatal("failed SampleN returned a batch alongside its error")
+			t.Fatal("failed draw returned a batch alongside its error")
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("sharded SampleN hung instead of aborting")
+		t.Fatal("sharded draw hung instead of aborting")
 	}
 
 	// The abort must not poison later calls into panics: a fresh draw
 	// builds a fresh engine (and here a fresh injector, so it fails the
 	// same loud way).
-	if _, err := s.Sample(); err == nil || !transportFailure(err) {
-		t.Fatalf("follow-up Sample: got %v, want a typed transport failure", err)
+	if _, err := s.Draw(context.Background(), locsample.DrawRequest{Seed: 3, K: 1}); err == nil || !transportFailure(err) {
+		t.Fatalf("follow-up draw: got %v, want a typed transport failure", err)
 	}
 }
 
@@ -98,35 +99,32 @@ func TestShardedCSPSampleNFailsFast(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.SampleN(3)
+		_, err := s.SampleNFrom(3, 3)
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("every chain's fabric drops a frame, yet SampleN succeeded")
+			t.Fatal("every chain's fabric drops a frame, yet the draw succeeded")
 		}
 		if !transportFailure(err) {
 			t.Fatalf("error %v is not a typed transport failure", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("sharded CSP SampleN hung instead of aborting")
+		t.Fatal("sharded CSP draw hung instead of aborting")
 	}
 }
 
 // TestOneShotHonorsTransport: the one-shot draws compile the sampler
 // NewSampler / NewCSPSampler would and draw once, so every runtime option
-// reaches the draw. An injected fabric fault must surface from Sample,
-// SampleCSP and SampleCSPN alike, and a CSP draw placed on an unreachable
-// worker must fail rather than quietly draw in-process.
+// reaches the draw. An injected fabric fault must surface from Sample and
+// SampleCSP alike, and a CSP draw placed on an unreachable worker must
+// fail rather than quietly draw in-process.
 func TestOneShotHonorsTransport(t *testing.T) {
 	g, c, init := cspTestWorkload(t)
 	fault := []locsample.Option{locsample.WithShards(3), locsample.WithTransport(faultyFabric(2))}
 	if _, _, err := locsample.SampleCSP(g, c, init, 10, 1, false, fault...); !transportFailure(err) {
 		t.Fatalf("SampleCSP over a dropping fabric: err = %v, want a typed transport failure", err)
-	}
-	if _, err := locsample.SampleCSPN(g, c, init, 10, 1, 3, 1, fault...); !transportFailure(err) {
-		t.Fatalf("SampleCSPN over a dropping fabric: err = %v, want a typed transport failure", err)
 	}
 	m := locsample.NewColoring(locsample.GridGraph(8, 8), 13)
 	if _, err := locsample.Sample(m, append(fault, locsample.WithRounds(12), locsample.WithSeed(3))...); !transportFailure(err) {

@@ -22,16 +22,11 @@ func TestSampleTracedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bare, err := s.Sample()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, tr, err := s.SampleTraced()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range bare.Sample {
-			if bare.Sample[v] != res.Sample[v] {
+		bare := drawOne(t, s, DrawRequest{Seed: 7}).Samples[0]
+		res := drawOne(t, s, DrawRequest{Seed: 7, Trace: true})
+		tr := res.Trace
+		for v := range bare {
+			if bare[v] != res.Samples[0][v] {
 				t.Fatalf("shards=%d: traced draw diverged at vertex %d", shards, v)
 			}
 		}
@@ -82,14 +77,9 @@ func TestCSPSampleTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, _, err := s.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, _, tr, err := s.SampleTraced()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := drawOne(t, s, DrawRequest{Seed: 3}).Samples[0]
+	res := drawOne(t, s, DrawRequest{Seed: 3, Trace: true})
+	traced, tr := res.Samples[0], res.Trace
 	for v := range bare {
 		if bare[v] != traced[v] {
 			t.Fatalf("traced CSP draw diverged at vertex %d", v)
@@ -116,26 +106,20 @@ func TestWithMetricsPublishesDrawSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := bareS.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := drawOne(t, bareS, DrawRequest{Seed: 11}).Samples[0]
 
 	reg := NewMetrics()
 	s, err := NewSampler(m, WithSeed(11), WithRounds(12), WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range bare.Sample {
-		if bare.Sample[v] != res.Sample[v] {
+	res := drawOne(t, s, DrawRequest{Seed: 11}).Samples[0]
+	for v := range bare {
+		if bare[v] != res[v] {
 			t.Fatalf("metered draw diverged at vertex %d", v)
 		}
 	}
-	if _, err := s.SampleN(4); err != nil {
+	if _, err := s.SampleNFrom(11, 4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,9 +154,7 @@ func TestWithMetricsCSP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Sample(); err != nil {
-		t.Fatal(err)
-	}
+	drawOne(t, s, DrawRequest{Seed: 5})
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

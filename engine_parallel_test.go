@@ -8,8 +8,8 @@ import (
 )
 
 // TestWithParallelRoundsBitIdentical pins the vertex-parallel mode's
-// contract at the public API: SampleN over a parallel-rounds sampler equals
-// SampleN over a sequential one, chain for chain and byte for byte, at every
+// contract at the public API: a draw on a parallel-rounds sampler equals
+// the same draw on a sequential one, chain for chain and byte for byte, at every
 // worker count.
 func TestWithParallelRoundsBitIdentical(t *testing.T) {
 	g := locsample.GridGraph(11, 13)
@@ -27,7 +27,7 @@ func TestWithParallelRoundsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want, err := base.SampleN(6)
+		want, err := base.SampleNFrom(5, 6)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -41,7 +41,7 @@ func TestWithParallelRoundsBitIdentical(t *testing.T) {
 			if s.ParallelRounds() != par {
 				t.Fatalf("%s: ParallelRounds() = %d, want %d", tc.name, s.ParallelRounds(), par)
 			}
-			got, err := s.SampleN(6)
+			got, err := s.SampleNFrom(5, 6)
 			if err != nil {
 				t.Fatalf("%s parallel=%d: %v", tc.name, par, err)
 			}
@@ -79,7 +79,7 @@ func TestWithParallelRoundsRejects(t *testing.T) {
 		locsample.WithParallelRounds(4)); err == nil {
 		t.Fatal("WithShards + WithParallelRounds accepted")
 	}
-	if _, err := locsample.NewSampler(m,
+	if _, err := locsample.Sample(m,
 		locsample.WithRounds(5), locsample.Distributed(),
 		locsample.WithParallelRounds(4)); err == nil {
 		t.Fatal("Distributed + WithParallelRounds accepted")

@@ -8,7 +8,7 @@ import (
 )
 
 // TestWithShardsBitIdentical pins the sharded runtime's keystone contract
-// at the public API: SampleN over a sharded sampler equals SampleN over an
+// at the public API: a draw on a sharded sampler equals the same draw on an
 // unsharded one, chain for chain and byte for byte, under both partition
 // strategies.
 func TestWithShardsBitIdentical(t *testing.T) {
@@ -26,7 +26,7 @@ func TestWithShardsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want, err := base.SampleN(6)
+		want, err := base.SampleNFrom(5, 6)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -41,7 +41,7 @@ func TestWithShardsBitIdentical(t *testing.T) {
 				if s.Shards() != k {
 					t.Fatalf("%s: Shards() = %d, want %d", tc.name, s.Shards(), k)
 				}
-				got, err := s.SampleN(6)
+				got, err := s.SampleNFrom(5, 6)
 				if err != nil {
 					t.Fatalf("%s shards=%d: %v", tc.name, k, err)
 				}
@@ -77,16 +77,22 @@ func TestWithShardsSingleSample(t *testing.T) {
 	if got.Shard == nil || got.Shard.Shards != 4 {
 		t.Fatalf("package-level sharded Sample missing shard stats: %+v", got.Shard)
 	}
+	// A compiled sampler's one-chain draw is chain 0 at ChainSeed(3, 0).
+	chain0, err := locsample.Sample(m, locsample.WithSeed(locsample.ChainSeed(3, 0)), locsample.WithRounds(30))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := locsample.NewSampler(m, sharded...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Sample()
-	if err != nil {
-		t.Fatal(err)
+	defer s.Close()
+	res := drawOne(t, s, locsample.DrawRequest{Seed: 3})
+	if !reflect.DeepEqual(res.Samples[0], chain0.Sample) {
+		t.Fatal("sharded compiled draw diverges from centralized")
 	}
-	if !reflect.DeepEqual(res.Sample, want.Sample) {
-		t.Fatal("Sampler.Sample sharded diverges from centralized")
+	if res.Shard.Shards != 4 {
+		t.Fatalf("sharded compiled draw missing shard stats: %+v", res.Shard)
 	}
 }
 
@@ -99,10 +105,6 @@ func TestWithShardsRejects(t *testing.T) {
 		locsample.WithAlgorithm(locsample.Glauber), locsample.WithShards(2)); err == nil {
 		t.Fatal("Glauber + WithShards accepted")
 	}
-	if _, err := locsample.NewSampler(m,
-		locsample.Distributed(), locsample.WithShards(2)); err == nil {
-		t.Fatal("Distributed + WithShards accepted")
-	}
 	if _, err := locsample.NewSampler(m, locsample.WithShards(13)); err == nil {
 		t.Fatal("more shards than vertices accepted")
 	}
@@ -112,7 +114,7 @@ func TestWithShardsRejects(t *testing.T) {
 }
 
 // TestSampleCSPNMatchesSampleCSP pins the CSP batch engine's determinism
-// contract: chain i of SampleCSPN equals SampleCSP with seed
+// contract: chain i of a compiled CSP draw equals SampleCSP with seed
 // ChainSeed(seed, i).
 func TestSampleCSPNMatchesSampleCSP(t *testing.T) {
 	g := locsample.GridGraph(7, 9)
@@ -122,10 +124,15 @@ func TestSampleCSPNMatchesSampleCSP(t *testing.T) {
 		init[i] = 1
 	}
 	const rounds, k = 120, 7
-	samples, err := locsample.SampleCSPN(g, c, init, rounds, 99, k, 3)
+	s, err := locsample.NewCSPSampler(g, c, init, locsample.WithRounds(rounds), locsample.WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	batch, err := s.SampleNFrom(99, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := batch.Samples
 	if len(samples) != k {
 		t.Fatalf("got %d samples, want %d", len(samples), k)
 	}
@@ -141,11 +148,11 @@ func TestSampleCSPNMatchesSampleCSP(t *testing.T) {
 			t.Fatalf("chain %d output is not dominating", i)
 		}
 	}
-	if _, err := locsample.SampleCSPN(g, c, init, 0, 1, 2, 0); err == nil {
+	if _, err := locsample.NewCSPSampler(g, c, init); err == nil {
 		t.Fatal("rounds=0 accepted")
 	}
 	bad := make([]int, g.N()) // all-zero is not dominating
-	if _, err := locsample.SampleCSPN(g, c, bad, 10, 1, 2, 0); err == nil {
+	if _, err := locsample.NewCSPSampler(g, c, bad, locsample.WithRounds(10)); err == nil {
 		t.Fatal("infeasible init accepted")
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestSampleNSoABitIdentical pins the SoA batch engine's determinism
-// contract at the API level: chain i of SampleN under WithBatchWidth(w)
+// contract at the API level: chain i of a draw under WithBatchWidth(w)
 // is bit-identical to Sample(WithSeed(ChainSeed(s, i))) at widths 8, 16,
 // and 33 — 33 chains cut into tail blocks at 8 and 16, and one odd
 // full-width block at 33 — for the coloring and Ising kernels (CI-gated
@@ -49,7 +49,7 @@ func TestSampleNSoABitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batch, err := s.SampleN(k)
+				batch, err := s.SampleNFrom(seed, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,7 +66,7 @@ func TestSampleNSoABitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ab, err := auto.SampleN(k)
+			ab, err := auto.SampleNFrom(seed, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestSampleNSoABitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rb, err := aos.SampleN(k)
+			rb, err := aos.SampleNFrom(seed, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,15 +124,6 @@ func TestSampleCSPNSoABitIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(batch.Samples, want) {
 			t.Fatalf("width=%d: SoA CSP batch diverges from derived-seed singles", width)
-		}
-		// The convenience form threads the width through its rebuilt config.
-		samples, err := locsample.SampleCSPN(g, c, init, rounds, seed, k, 0,
-			locsample.WithBatchWidth(width))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(samples, want) {
-			t.Fatalf("width=%d: SampleCSPN SoA batch diverges", width)
 		}
 	}
 }
@@ -194,13 +185,13 @@ func TestSampleNWorkerPoolClamped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm the pools so the measured run spawns only claim-loop workers.
-	if _, err := s.SampleN(8); err != nil {
+	if _, err := s.SampleNFrom(0, 8); err != nil {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.SampleN(8) // one block of 8 lanes -> one worker
+		_, err := s.SampleNFrom(0, 8) // one block of 8 lanes -> one worker
 		done <- err
 	}()
 	peak := base

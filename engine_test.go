@@ -1,14 +1,20 @@
 package locsample_test
 
 import (
+	"context"
+	"errors"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"locsample"
+	"locsample/internal/transport"
 )
 
 // TestSampleNMatchesDerivedSeedSamples pins the batch determinism contract:
-// chain i of SampleN(k) with master seed s is bit-identical to a single
+// chain i of a k-chain draw with master seed s is bit-identical to a single
 // Sample with seed ChainSeed(s, i), for every algorithm the engine runs.
 func TestSampleNMatchesDerivedSeedSamples(t *testing.T) {
 	g := locsample.GridGraph(8, 8)
@@ -33,7 +39,7 @@ func TestSampleNMatchesDerivedSeedSamples(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := s.SampleN(k)
+			batch, err := s.SampleNFrom(seed, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +77,7 @@ func TestSampleNWorkerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := s.SampleN(k)
+		batch, err := s.SampleNFrom(seed, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,72 +95,88 @@ func TestSampleNWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestSampleNDistributed: the engine's distributed mode keeps the same
-// per-chain determinism, through the message-passing runtime.
+// TestSampleNDistributed: the one-shot LOCAL-model draw at seed
+// ChainSeed(s, i) is chain i of the compiled draw at master seed s, for
+// both algorithms with a LOCAL protocol. Compiled samplers themselves
+// have no LOCAL runtime.
 func TestSampleNDistributed(t *testing.T) {
 	g := locsample.CycleGraph(16)
 	model := locsample.NewColoring(g, 8)
-	opts := []locsample.Option{
-		locsample.WithSeed(5),
-		locsample.WithRounds(20),
-	}
-	central, err := locsample.NewSampler(model, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distr, err := locsample.NewSampler(model, append(opts, locsample.Distributed())...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 4
-	cb, err := central.SampleN(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := distr.SampleN(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < k; i++ {
-		for v := range cb.Samples[i] {
-			if cb.Samples[i][v] != db.Samples[i][v] {
-				t.Fatalf("modes disagree on chain %d at vertex %d", i, v)
+	const seed, k = 5, 4
+	for _, alg := range []locsample.Algorithm{locsample.LubyGlauber, locsample.LocalMetropolis} {
+		opts := []locsample.Option{locsample.WithAlgorithm(alg), locsample.WithRounds(20)}
+		s, err := locsample.NewSampler(model, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := s.Draw(context.Background(), locsample.DrawRequest{Seed: seed, K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			res, err := locsample.Sample(model, append(opts,
+				locsample.WithSeed(locsample.ChainSeed(seed, i)), locsample.Distributed())...)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(res.Sample, batch.Samples[i]) {
+				t.Fatalf("%v: LOCAL draw disagrees with chain %d", alg, i)
+			}
+			if res.Stats.Messages == 0 || res.Rounds != 20 {
+				t.Fatalf("%v: LOCAL draw stats %+v, rounds %d", alg, res.Stats, res.Rounds)
+			}
+		}
+	}
+	if _, err := locsample.NewSampler(model, locsample.Distributed()); err == nil {
+		t.Fatal("compiled sampler accepted Distributed")
+	}
+}
+
+// TestDistributedRejectsNonLOCALAlgorithms: Glauber and the scan
+// baselines have no LOCAL protocol, so Distributed fails when the options
+// are compiled — before a WithRoundsAuto coupling is measured — not when
+// the chain would run.
+func TestDistributedRejectsNonLOCALAlgorithms(t *testing.T) {
+	model := locsample.NewColoring(locsample.GridGraph(6, 6), 13)
+	for _, alg := range []locsample.Algorithm{locsample.Glauber, locsample.SystematicScan, locsample.ChromaticGlauber} {
+		// WithCoupling(1) is an invalid coupling: a rejection that came
+		// only after the WithRoundsAuto measurement was set up would
+		// report that instead.
+		opts := []locsample.Option{locsample.WithAlgorithm(alg), locsample.Distributed(),
+			locsample.WithRoundsAuto(), locsample.WithCoupling(1)}
+		_, err := locsample.Sample(model, opts...)
+		if err == nil || !strings.Contains(err.Error(), "no LOCAL protocol") {
+			t.Fatalf("%v: one-shot Distributed draw: err = %v, want a compile-time rejection", alg, err)
+		}
+		if _, err := locsample.NewSampler(model, opts...); err == nil {
+			t.Fatalf("%v: NewSampler accepted Distributed", alg)
 		}
 	}
 }
 
-// TestSamplerSampleMatchesPackageSample: the compiled sampler's single-draw
-// path is the package-level Sample, bit for bit and field for field.
+// TestSamplerSampleMatchesPackageSample: the compiled sampler's one-chain
+// draw at seed s is the package-level Sample at seed ChainSeed(s, 0), bit
+// for bit, with the same budget provenance.
 func TestSamplerSampleMatchesPackageSample(t *testing.T) {
 	g := locsample.GridGraph(6, 6)
 	model := locsample.NewColoring(g, 4*g.MaxDeg())
-	opts := []locsample.Option{
-		locsample.WithEpsilon(0.05),
-		locsample.WithSeed(77),
-	}
-	s, err := locsample.NewSampler(model, opts...)
+	s, err := locsample.NewSampler(model, locsample.WithEpsilon(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := locsample.Sample(model, opts...)
+	a := drawOne(t, s, locsample.DrawRequest{Seed: 77})
+	b, err := locsample.Sample(model, locsample.WithEpsilon(0.05), locsample.WithSeed(locsample.ChainSeed(77, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Rounds != b.Rounds || a.TheoryRounds != b.TheoryRounds {
 		t.Fatalf("provenance differs: %+v vs %+v", a, b)
 	}
-	for v := range a.Sample {
-		if a.Sample[v] != b.Sample[v] {
-			t.Fatalf("samples differ at vertex %d", v)
-		}
+	if !reflect.DeepEqual(a.Samples[0], b.Sample) {
+		t.Fatal("compiled draw differs from the package-level Sample")
 	}
 	if s.Rounds() != a.Rounds || s.TheoryRounds() != a.TheoryRounds {
-		t.Fatalf("engine reports rounds=%d theory=%d, sample says %d/%d",
+		t.Fatalf("engine reports rounds=%d theory=%d, draw says %d/%d",
 			s.Rounds(), s.TheoryRounds(), a.Rounds, a.TheoryRounds)
 	}
 }
@@ -171,7 +193,7 @@ func TestSampleNValidity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := s.SampleN(32)
+	batch, err := s.SampleNFrom(1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +211,11 @@ func TestSampleNEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := s.SampleN(0)
+	empty, err := s.SampleNFrom(0, 0)
 	if err != nil || len(empty.Samples) != 0 {
-		t.Fatalf("SampleN(0): %v, %d samples", err, len(empty.Samples))
+		t.Fatalf("K=0 draw: %v, %d samples", err, len(empty.Samples))
 	}
-	if _, err := s.SampleN(-1); err == nil {
+	if _, err := s.SampleNFrom(0, -1); err == nil {
 		t.Fatal("negative k accepted")
 	}
 	if _, err := locsample.NewSampler(model, locsample.WithInitial([]int{0})); err == nil {
@@ -221,9 +243,9 @@ func TestChainSeedSplitting(t *testing.T) {
 }
 
 // TestSampleNFromReseedsWithoutRecompiling: SampleNFrom(seed, k) on one
-// compiled sampler equals SampleN(k) on a sampler compiled with that seed —
-// the serving path, where one compiled model answers many requests with
-// per-request master seeds.
+// compiled sampler equals the same draw on a sampler compiled with that
+// seed — the serving path, where one compiled model answers many requests
+// with per-request master seeds.
 func TestSampleNFromReseedsWithoutRecompiling(t *testing.T) {
 	g := locsample.GridGraph(8, 8)
 	model := locsample.NewColoring(g, 3*g.MaxDeg())
@@ -240,7 +262,7 @@ func TestSampleNFromReseedsWithoutRecompiling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.SampleN(4)
+		want, err := fresh.SampleNFrom(seed, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,29 +276,46 @@ func TestSampleNFromReseedsWithoutRecompiling(t *testing.T) {
 	}
 }
 
-// TestSampleNFailsFast: when chains error (here: an algorithm with no
-// distributed implementation), the batch reports the error and the abort
-// flag keeps the pool from draining the whole queue first.
+// deadFabric is a boundary fabric on which every exchange fails at once.
+type deadFabric struct{}
+
+func (deadFabric) Send(from, to, round int, states []int) error { return transport.ErrClosed }
+func (deadFabric) Recv(from, to, round, want int) ([]int, error) {
+	return nil, transport.ErrClosed
+}
+func (deadFabric) Close() error { return nil }
+
+// TestSampleNFailsFast: when chains error (here: every exchange of a
+// sharded chain fails), the batch reports the error and the abort flag
+// keeps the pool from draining the whole queue first.
 func TestSampleNFailsFast(t *testing.T) {
 	// Modest k*n: the batch backing array is allocated up front, so a huge
 	// k would reserve real memory before the first chain even fails.
 	model := locsample.NewColoring(locsample.GridGraph(32, 32), 13)
+	var engines atomic.Int64 // one fabric per engine built
 	s, err := locsample.NewSampler(model,
-		locsample.WithAlgorithm(locsample.Glauber),
 		locsample.WithRounds(1000000),
-		locsample.Distributed(),
+		locsample.WithShards(2),
+		locsample.WithTransport(func([][]int) locsample.Transport {
+			engines.Add(1)
+			return deadFabric{}
+		}),
 		locsample.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := s.SampleN(1 << 13); err == nil {
-		t.Fatal("doomed batch reported no error")
+	if _, err := s.SampleNFrom(0, 1<<13); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("doomed batch: err = %v, want the fabric's failure", err)
 	}
-	// Every chain fails instantly; without the abort flag the pool would
-	// still claim (and re-resolve a greedy init for) all 2^13 chains. With
-	// it the batch dies within a few claims.
+	// Every chain fails at its first exchange and poisons its engine;
+	// without the abort flag the pool would still claim (and build a fresh
+	// engine for) all 2^13 chains. With it the batch dies within a few
+	// claims.
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("doomed batch took %v; abort flag not effective", elapsed)
+	}
+	if n := engines.Load(); n > 64 {
+		t.Fatalf("doomed batch built %d engines; abort flag not effective", n)
 	}
 }

@@ -1,5 +1,7 @@
-// Package core is the facade of the library: it ties a model, an algorithm
-// choice, and theory-derived round budgets into a single Sample call.
+// Package core resolves what a draw needs before it runs: it checks a
+// Config's runtime knobs against each other and ties a model, an algorithm
+// choice, and theory-derived round budgets into the budget and initial
+// configuration every compiled sampler (and so every draw) runs with.
 //
 // The round budgets come from the paper's theorems:
 //
@@ -24,7 +26,6 @@ import (
 	"locsample/internal/cluster"
 	"locsample/internal/coupling"
 	"locsample/internal/csp"
-	"locsample/internal/dist"
 	"locsample/internal/exact"
 	"locsample/internal/localmodel"
 	"locsample/internal/mrf"
@@ -35,7 +36,7 @@ import (
 	"locsample/internal/transport"
 )
 
-// Config selects an algorithm and its parameters for Sample.
+// Config selects an algorithm and its parameters for a draw.
 type Config struct {
 	// Algorithm picks the chain (default LocalMetropolis).
 	Algorithm chains.Algorithm
@@ -51,26 +52,27 @@ type Config struct {
 	// (explicit Rounds, or the theory/heuristic budget), and every draw
 	// then runs the measured round count. Draws stay bit-identical to a
 	// fixed-budget sampler pinned to the same round count. Only compiled
-	// samplers honor it; the package-level Sample routes through one.
+	// samplers honor it; the one-shot draws route through one.
 	RoundsAuto bool
 	// Coupling is the coupled-chain count diagnosed draws and RoundsAuto
 	// measurements run with (default 4; must be ≥ 2 when set).
 	Coupling int
 	// Seed drives all randomness. Two runs with equal seeds coincide.
 	Seed uint64
-	// Distributed executes the protocol on the LOCAL-model runtime instead
-	// of the (trajectory-identical) centralized replay, and reports
-	// communication statistics. Only LubyGlauber and LocalMetropolis have
-	// distributed implementations.
+	// Distributed makes a one-shot draw run the protocol on the LOCAL-model
+	// simulator (internal/dist) instead of the (trajectory-identical)
+	// centralized chain, and report communication statistics. Compiled
+	// samplers reject it. Only LubyGlauber and LocalMetropolis have LOCAL
+	// protocols.
 	Distributed bool
 	// DropRule3 enables the E4 ablation for LocalMetropolis.
 	DropRule3 bool
 	// Init supplies the starting configuration; when nil a greedy feasible
 	// configuration is constructed.
 	Init []int
-	// Workers bounds the goroutine pool a batch Sampler uses for SampleN
-	// (default: GOMAXPROCS; when sharding, GOMAXPROCS/Shards). Single
-	// Sample calls ignore it.
+	// Workers bounds the goroutine pool a compiled sampler spreads a
+	// draw's chains over (default: GOMAXPROCS; when sharding,
+	// GOMAXPROCS/Shards). One-chain draws ignore it.
 	Workers int
 	// Shards > 1 splits every single chain across that many lockstep shard
 	// workers exchanging only boundary states (internal/cluster) — the
@@ -91,12 +93,12 @@ type Config struct {
 	// (default partition.Range).
 	ShardStrategy partition.Strategy
 	// BatchWidth steers the SoA multi-chain batch engine compiled samplers
-	// use for SampleN / SampleCSPN: 0 (default) auto-picks the lane width
+	// run multi-chain draws through: 0 (default) auto-picks the lane width
 	// from the batch size and GOMAXPROCS, 1 forces the per-chain reference
 	// path, and 2..64 pins the block width (used whenever the batch has at
 	// least that many chains). Purely a throughput knob: SoA chain i is
 	// bit-identical to the per-chain path at seed ChainSeed(s, i) at every
-	// width. Only centralized batches batch — shards, Parallel, Distributed,
+	// width. Only centralized sequential batches batch — shards, Parallel
 	// and remote draws ignore it.
 	BatchWidth int
 	// WorkerAddrs lists lsharded worker addresses; when non-empty (and
@@ -234,8 +236,8 @@ func (p RetryPolicy) Delay(attempt int) time.Duration {
 const TagChain = 0x4001
 
 // ChainSeed derives the seed of chain `chain` in a batch run with master
-// seed `seed`. Batch chain i is bit-identical to a single Sample run with
-// this derived seed — the determinism contract of the batch engine.
+// seed `seed`. Batch chain i is bit-identical to a one-shot draw with this
+// derived seed — the determinism contract of the batch engine.
 func ChainSeed(seed uint64, chain uint64) uint64 {
 	return rng.PRF(seed, TagChain, chain)
 }
@@ -249,7 +251,7 @@ type Result struct {
 	// TheoryRounds is the bound the automatic budget used (0 when the
 	// caller supplied Rounds explicitly).
 	TheoryRounds int
-	// Stats reports communication costs for distributed runs.
+	// Stats reports communication costs for one-shot Distributed draws.
 	Stats localmodel.Stats
 	// Shard reports the sharded runtime's profile (nil for unsharded
 	// draws).
@@ -330,10 +332,14 @@ func AutoRounds(m *mrf.MRF, alg chains.Algorithm, eps float64) (int, error) {
 // checkRuntime resolves the runtime knobs of cfg against each other, for
 // both Compile paths. A draw runs on exactly one runtime — sequential
 // rounds, vertex-parallel rounds (Parallel), the LOCAL-model simulator
-// (Distributed), or shards (Shards) — and the fabric knobs refine only
-// the sharded one: in-process over the default or a custom Transport, or
-// across WorkerAddrs processes with StandbyAddrs as spares.
+// (Distributed, one-shot draws of the two LOCAL algorithms only), or
+// shards (Shards) — and the fabric knobs refine only the sharded one:
+// in-process over the default or a custom Transport, or across
+// WorkerAddrs processes with StandbyAddrs as spares.
 func checkRuntime(cfg Config) error {
+	if cfg.Distributed && cfg.Algorithm != chains.LubyGlauber && cfg.Algorithm != chains.LocalMetropolis {
+		return fmt.Errorf("core: %v has no LOCAL protocol (only LubyGlauber and LocalMetropolis run Distributed)", cfg.Algorithm)
+	}
 	var picked []string
 	if cfg.Distributed {
 		picked = append(picked, "Distributed")
@@ -369,11 +375,12 @@ func checkRuntime(cfg Config) error {
 	return nil
 }
 
-// Compile resolves the run parameters a Sample call derives from its
-// Config: the effective round budget (plus the theory budget when it was
-// automatic, else 0) and the initial configuration. Sample and the batch
-// engine both go through it, so their resolutions can never drift apart —
-// which is what makes batch chain i bit-identical to a derived-seed Sample.
+// Compile resolves the run parameters an MRF draw derives from its Config:
+// the effective round budget (plus the theory budget when it was
+// automatic, else 0) and the initial configuration. Every MRF sampler —
+// and so every one-shot draw, LOCAL-model ones included — compiles
+// through it, so resolutions can never drift apart: batch chain i is
+// bit-identical to a derived-seed one-shot draw.
 func Compile(m *mrf.MRF, cfg Config) (rounds, theory int, init []int, err error) {
 	if err := checkRuntime(cfg); err != nil {
 		return 0, 0, nil, err
@@ -428,49 +435,4 @@ func CompileCSP(c *csp.CSP, cfg Config) (rounds int, err error) {
 		return 0, fmt.Errorf("core: initial configuration is infeasible")
 	}
 	return cfg.Rounds, nil
-}
-
-// Sample draws one configuration whose distribution is within the
-// configured ε of the Gibbs distribution (when the model is in a proved
-// regime; see AutoRounds), on the sequential, vertex-parallel or
-// LOCAL-model runtime. Sharded draws run on compiled samplers (the
-// root package), which own the shard plans and engines.
-func Sample(m *mrf.MRF, cfg Config) (*Result, error) {
-	rounds, theory, init, err := Compile(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Shards > 1 {
-		return nil, fmt.Errorf("core: sharded draws need a compiled sampler, not core.Sample")
-	}
-	res := &Result{TheoryRounds: theory}
-	if cfg.Distributed {
-		switch cfg.Algorithm {
-		case chains.LubyGlauber:
-			out, stats, err := dist.RunLubyGlauber(m, init, cfg.Seed, rounds)
-			if err != nil {
-				return nil, err
-			}
-			res.Sample, res.Rounds, res.Stats = out, rounds, stats
-			return res, nil
-		case chains.LocalMetropolis:
-			r := localmodel.New(m.G, localmodel.Config{SharedSeed: cfg.Seed},
-				dist.NewLocalMetropolisFactory(m, init, cfg.Seed, rounds, cfg.DropRule3))
-			out, stats, err := r.Run(rounds + 1)
-			if err != nil {
-				return nil, err
-			}
-			res.Sample, res.Rounds, res.Stats = out, rounds, stats
-			return res, nil
-		default:
-			return nil, fmt.Errorf("core: %v has no distributed implementation", cfg.Algorithm)
-		}
-	}
-
-	s := chains.NewSampler(m, init, cfg.Seed, cfg.Algorithm,
-		chains.Options{DropRule3: cfg.DropRule3, Parallel: cfg.Parallel})
-	s.Run(rounds)
-	res.Sample = append([]int(nil), s.X...)
-	res.Rounds = rounds
-	return res, nil
 }

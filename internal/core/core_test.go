@@ -131,33 +131,40 @@ func TestAutoRoundsHeuristicFallback(t *testing.T) {
 
 func TestSampleErrors(t *testing.T) {
 	m := mrf.Coloring(graph.Cycle(3), 2) // infeasible model
-	if _, err := Sample(m, Config{Rounds: 10}); err == nil {
+	if _, _, _, err := Compile(m, Config{Rounds: 10}); err == nil {
 		t.Fatal("impossible model accepted")
 	}
 	m2 := mrf.Coloring(graph.Cycle(6), 5)
-	if _, err := Sample(m2, Config{Rounds: 5, Init: []int{0}}); err == nil {
+	if _, _, _, err := Compile(m2, Config{Rounds: 5, Init: []int{0}}); err == nil {
 		t.Fatal("short init accepted")
 	}
-	if _, err := Sample(m2, Config{Rounds: 5, Algorithm: chains.Glauber, Distributed: true}); err == nil {
-		t.Fatal("distributed Glauber accepted")
+	for _, alg := range []chains.Algorithm{chains.Glauber, chains.SystematicScan, chains.ChromaticGlauber} {
+		if _, _, _, err := Compile(m2, Config{Rounds: 5, Algorithm: alg, Distributed: true}); err == nil {
+			t.Fatalf("distributed %v accepted", alg)
+		}
+	}
+	for _, alg := range []chains.Algorithm{chains.LubyGlauber, chains.LocalMetropolis} {
+		if _, _, _, err := Compile(m2, Config{Rounds: 5, Algorithm: alg, Distributed: true}); err != nil {
+			t.Fatalf("distributed %v rejected: %v", alg, err)
+		}
 	}
 }
 
 func TestSampleDefaultEpsilon(t *testing.T) {
 	g := graph.Cycle(10)
 	m := mrf.Coloring(g, 8) // q = 4Δ: proved regime
-	res, err := Sample(m, Config{Algorithm: chains.LocalMetropolis, Seed: 1})
+	rounds, theory, _, err := Compile(m, Config{Algorithm: chains.LocalMetropolis, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TheoryRounds <= 0 {
-		t.Fatal("no theory budget recorded")
+	if theory <= 0 || rounds != theory {
+		t.Fatalf("no theory budget recorded: rounds %d, theory %d", rounds, theory)
 	}
 	want, err := LocalMetropolisRoundsColoring(10, 2, 8, math.Exp(-2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TheoryRounds != want {
-		t.Fatalf("budget %d, want %d", res.TheoryRounds, want)
+	if theory != want {
+		t.Fatalf("budget %d, want %d", theory, want)
 	}
 }

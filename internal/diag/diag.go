@@ -15,8 +15,8 @@
 // internal obs.RoundRecorder) plus a coalescence verdict. Chain 0 always
 // runs from the caller's real initial configuration with the caller's real
 // seed, so its final state IS a regular draw — bit-identical to an
-// undiagnosed Sample at the same seed, which is what lets the engines
-// expose SampleDiagnosed without forking the determinism contract.
+// undiagnosed draw at the same seed, which is what lets the engines
+// serve diagnosed draws without forking the determinism contract.
 //
 // Instrumentation discipline matches internal/obs: the per-round Probe is
 // nil-gated, StepRound allocates nothing whether a probe is attached or

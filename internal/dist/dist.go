@@ -160,21 +160,6 @@ func marginalSlots(m *mrf.MRF, v int, edgeIDs []int64, nbrX []int, out []float64
 	return true
 }
 
-// RunLubyGlauber executes `rounds` chain iterations of Algorithm 1 as a
-// LOCAL protocol from init with the given seed, returning the sampled
-// configuration and the run's communication statistics. The trajectory is
-// bit-identical to `rounds` calls of chains.LubyGlauberRound with the same
-// seed.
-func RunLubyGlauber(m *mrf.MRF, init []int, seed uint64, rounds int) ([]int, localmodel.Stats, error) {
-	if err := validateMRF(m, init); err != nil {
-		return nil, localmodel.Stats{}, err
-	}
-	r := localmodel.New(m.G, localmodel.Config{SharedSeed: seed}, func(v int) localmodel.Protocol {
-		return &lubyNode{m: m, seed: seed, rounds: rounds, x: init[v]}
-	})
-	return r.Run(rounds + 1)
-}
-
 // --- LocalMetropolis (Algorithm 2) -------------------------------------------
 
 // lmNode runs one vertex of the LocalMetropolis protocol. Each message is
@@ -254,26 +239,33 @@ func (n *lmNode) Round(t int, in [][]byte) ([][]byte, bool) {
 
 func (n *lmNode) Output() int { return n.x }
 
-// NewLocalMetropolisFactory returns the per-vertex protocol constructor for
-// Algorithm 2, for use with localmodel.New. Run the protocol for rounds+1
-// LOCAL rounds to execute `rounds` chain iterations. For coloring models the
-// nodes use the deterministic three-rule filter of §4.2 — the same fast path
-// the centralized chains.Sampler takes, so trajectories still coincide.
-func NewLocalMetropolisFactory(m *mrf.MRF, init []int, seed uint64, rounds int, dropRule3 bool) func(v int) localmodel.Protocol {
-	coloring := m.IsColoringModel()
-	return func(v int) localmodel.Protocol {
-		return &lmNode{m: m, seed: seed, rounds: rounds, drop: dropRule3, coloring: coloring, x: init[v]}
-	}
-}
-
-// RunLocalMetropolis executes `rounds` chain iterations of Algorithm 2 as a
-// LOCAL protocol. The trajectory is bit-identical to the centralized
-// chains.Sampler with the same model, init and seed.
-func RunLocalMetropolis(m *mrf.MRF, init []int, seed uint64, rounds int) ([]int, localmodel.Stats, error) {
+// RunMRF executes `rounds` chain iterations of alg — LubyGlauber
+// (Algorithm 1) or LocalMetropolis (Algorithm 2, with the E4 ablation
+// when dropRule3 is set) — as a LOCAL protocol from init with the given
+// seed, returning the sampled configuration and the run's communication
+// statistics. The trajectory is bit-identical to the centralized
+// chains.Sampler with the same model, init, seed and options. For coloring
+// models the LocalMetropolis nodes use the deterministic three-rule filter
+// of §4.2, the same fast path the centralized sampler takes.
+func RunMRF(m *mrf.MRF, alg chains.Algorithm, init []int, seed uint64, rounds int, dropRule3 bool) ([]int, localmodel.Stats, error) {
 	if err := validateMRF(m, init); err != nil {
 		return nil, localmodel.Stats{}, err
 	}
-	r := localmodel.New(m.G, localmodel.Config{SharedSeed: seed},
-		NewLocalMetropolisFactory(m, init, seed, rounds, false))
-	return r.Run(rounds + 1)
+	var node func(v int) localmodel.Protocol
+	switch alg {
+	case chains.LubyGlauber:
+		node = func(v int) localmodel.Protocol {
+			return &lubyNode{m: m, seed: seed, rounds: rounds, x: init[v]}
+		}
+	case chains.LocalMetropolis:
+		coloring := m.IsColoringModel()
+		node = func(v int) localmodel.Protocol {
+			return &lmNode{m: m, seed: seed, rounds: rounds, drop: dropRule3, coloring: coloring, x: init[v]}
+		}
+	default:
+		return nil, localmodel.Stats{}, fmt.Errorf("dist: %v has no LOCAL protocol", alg)
+	}
+	// Protocol round 0 only exchanges initial state, so `rounds` chain
+	// iterations take rounds+1 LOCAL rounds.
+	return localmodel.New(m.G, localmodel.Config{SharedSeed: seed}, node).Run(rounds + 1)
 }

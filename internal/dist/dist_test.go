@@ -6,7 +6,6 @@ import (
 	"locsample/internal/chains"
 	"locsample/internal/csp"
 	"locsample/internal/graph"
-	"locsample/internal/localmodel"
 	"locsample/internal/mrf"
 )
 
@@ -30,7 +29,7 @@ func TestLubyGlauberMatchesCentralized(t *testing.T) {
 			const seed, rounds = 99, 30
 			s := chains.NewSampler(tc.m, init, seed, chains.LubyGlauber, chains.Options{})
 			s.Run(rounds)
-			out, stats, err := RunLubyGlauber(tc.m, init, seed, rounds)
+			out, stats, err := RunMRF(tc.m, chains.LubyGlauber, init, seed, rounds, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,9 +72,7 @@ func TestLocalMetropolisMatchesCentralized(t *testing.T) {
 			s := chains.NewSampler(tc.m, init, seed, chains.LocalMetropolis,
 				chains.Options{DropRule3: tc.drop})
 			s.Run(rounds)
-			r := localmodel.New(tc.m.G, localmodel.Config{SharedSeed: seed},
-				NewLocalMetropolisFactory(tc.m, init, seed, rounds, tc.drop))
-			out, stats, err := r.Run(rounds + 1)
+			out, stats, err := RunMRF(tc.m, chains.LocalMetropolis, init, seed, rounds, tc.drop)
 			if err != nil {
 				t.Fatal(err)
 			}

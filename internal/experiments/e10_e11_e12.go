@@ -192,11 +192,11 @@ func MessageSizes(ns []int, rounds int, seed uint64) ([]MessageRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, st1, err := dist.RunLubyGlauber(m, init, seed, rounds)
+		_, st1, err := dist.RunMRF(m, chains.LubyGlauber, init, seed, rounds, false)
 		if err != nil {
 			return nil, err
 		}
-		_, st2, err := dist.RunLocalMetropolis(m, init, seed, rounds)
+		_, st2, err := dist.RunMRF(m, chains.LocalMetropolis, init, seed, rounds, false)
 		if err != nil {
 			return nil, err
 		}

@@ -179,7 +179,7 @@ func TestWorkerDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Sample(); err != nil {
+	if _, err := s.SampleNFrom(1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.ActiveJobs(); got != 1 {
@@ -191,7 +191,7 @@ func TestWorkerDrain(t *testing.T) {
 		t.Fatal("Draining() false after Drain")
 	}
 	// The existing job keeps serving.
-	if _, err := s.Sample(); err != nil {
+	if _, err := s.SampleNFrom(1, 1); err != nil {
 		t.Fatalf("draw on existing job after drain: %v", err)
 	}
 	// New jobs are rejected: the coordinator connects lazily, so the
@@ -203,7 +203,7 @@ func TestWorkerDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, err := s2.Sample(); err == nil {
+	if _, err := s2.SampleNFrom(2, 1); err == nil {
 		t.Fatal("draining worker accepted a new job")
 	} else if !strings.Contains(err.Error(), "draining") {
 		t.Fatalf("rejection error %q does not mention draining", err)

@@ -84,10 +84,11 @@ func TestRemoteCSPBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := central.Sample()
+	ref, err := central.SampleNFrom(seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := ref.Samples[0]
 
 	addrs := startWorkers(t, 2, WorkerConfig{})
 	s, err := locsample.NewCSPSampler(g, c, init,
@@ -97,16 +98,16 @@ func TestRemoteCSPBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got, st, err := s.Sample()
+	b, err := s.SampleNFrom(seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range want {
-		if got[v] != want[v] {
+	for v, x := range b.Samples[0] {
+		if x != want[v] {
 			t.Fatalf("remote CSP draw diverges at vertex %d", v)
 		}
 	}
-	if st.WireFrames == 0 {
+	if b.Shard.WireFrames == 0 {
 		t.Fatal("no frames crossed the wire")
 	}
 }
@@ -139,7 +140,7 @@ func TestRemoteCoordinatorRetriesAfterFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := central.Sample()
+	want, err := central.SampleNFrom(seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,15 +157,15 @@ func TestRemoteCoordinatorRetriesAfterFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res, err := s.Sample()
+	res, err := s.SampleNFrom(seed, 1)
 	if err != nil {
 		t.Fatalf("coordinator did not recover from a single faulted session: %v", err)
 	}
 	if !f.used.Load() {
 		t.Fatal("fault injector never armed")
 	}
-	for v := range want.Sample {
-		if res.Sample[v] != want.Sample[v] {
+	for v, x := range want.Samples[0] {
+		if res.Samples[0][v] != x {
 			t.Fatalf("post-retry draw diverges at vertex %d", v)
 		}
 	}
@@ -193,7 +194,7 @@ func TestRemoteCoordinatorAbortsCleanly(t *testing.T) {
 	defer s.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Sample()
+		_, err := s.SampleNFrom(7, 1)
 		done <- err
 	}()
 	select {

@@ -15,10 +15,11 @@
 //     α > 2+√2, it mixes in O(log(n/ε)) rounds independent of Δ
 //     (Theorem 4.2).
 //
-// Samplers can run either as exact centralized replays or as genuine
-// message-passing protocols on the bundled LOCAL-model runtime (goroutine
-// per node, synchronized rounds, message-size accounting); the two modes
-// produce identical trajectories for identical seeds.
+// A one-shot Sample (or SampleCSP) can also run its chain as a genuine
+// message-passing protocol on the bundled LOCAL-model simulator
+// (goroutine per node, synchronized rounds, message-size accounting) —
+// the paper's model of computation, kept for reproducing it; the two
+// modes produce identical trajectories for identical seeds.
 //
 // Quick start:
 //
@@ -31,11 +32,11 @@
 //	    locsample.Distributed())
 //
 // For serving workloads that need many draws, compile the model once with
-// NewSampler (or NewCSPSampler for weighted local CSPs) and call Draw,
-// which spreads independent chains over a worker pool with allocation-free
-// inner loops; chain i of a draw with seed s is bit-identical to Sample
-// with seed ChainSeed(s, i). The same call traces a draw or runs it under
-// a mixing diagnosis:
+// NewSampler (or NewCSPSampler for weighted local CSPs) and call Draw —
+// the one draw method of a compiled sampler — which spreads independent
+// chains over a worker pool with allocation-free inner loops; chain i of a
+// draw with seed s is bit-identical to Sample with seed ChainSeed(s, i).
+// The same call traces a draw or runs it under a mixing diagnosis:
 //
 //	s, err := locsample.NewSampler(model)
 //	batch, err := s.Draw(ctx, locsample.DrawRequest{Seed: 42, K: 1024})
@@ -57,6 +58,7 @@ import (
 	"locsample/internal/chains"
 	"locsample/internal/core"
 	"locsample/internal/diag"
+	"locsample/internal/dist"
 	"locsample/internal/graph"
 	"locsample/internal/localmodel"
 	"locsample/internal/mrf"
@@ -219,23 +221,27 @@ func WithInitial(init []int) Option {
 	return func(c *core.Config) { c.Init = init }
 }
 
-// WithBatchWidth steers the SoA multi-chain batch engine SampleN and
-// SampleCSPN run their centralized chains through: chains are advanced in
+// WithBatchWidth steers the SoA multi-chain batch engine compiled samplers
+// run a multi-chain Draw's centralized chains through: chains are advanced in
 // lockstep blocks of W lanes stored [vertex][chain], so one CSR (or
 // constraint-incidence) walk serves the whole block. w = 0 (the default)
 // auto-picks the width from the batch size and GOMAXPROCS; w = 1 forces
 // the per-chain reference path; 2 ≤ w ≤ 64 pins the block width, used
 // whenever a batch has at least w chains. Purely a throughput knob:
 // batch chain i is bit-identical to Sample(WithSeed(ChainSeed(s, i))) at
-// every width. Sharded, vertex-parallel, distributed, and remote batches
-// ignore it (those runtimes parallelize within a chain instead).
+// every width. Sharded, vertex-parallel and remote batches ignore it
+// (those runtimes parallelize within a chain instead).
 func WithBatchWidth(w int) Option {
 	return func(c *core.Config) { c.BatchWidth = w }
 }
 
-// Distributed runs the sampler as a message-passing protocol on the
-// LOCAL-model runtime and collects communication statistics. Identical
-// seeds give identical samples in both modes.
+// Distributed runs a one-shot Sample or SampleCSP as a message-passing
+// protocol on the LOCAL-model simulator and reports its communication
+// statistics in Result.Stats. Identical seeds give identical samples in
+// both modes. Only LubyGlauber and LocalMetropolis have LOCAL protocols
+// (other algorithms are rejected when the options are compiled), and the
+// simulator has no batch, shard or serving path: NewSampler and
+// NewCSPSampler reject it.
 func Distributed() Option {
 	return func(c *core.Config) { c.Distributed = true }
 }
@@ -366,9 +372,13 @@ func WithRoundsAuto() Option {
 }
 
 // Sample draws one configuration approximately distributed as the model's
-// Gibbs distribution. It compiles the model under opts, draws once, and closes, so every
-// option a Sampler honors — runtimes, remote workers, measured budgets,
-// metrics — is honored here too.
+// Gibbs distribution, at exactly the WithSeed seed: it is the reference
+// the compiled draw is stated against (chain i of Sampler.Draw with seed s
+// equals Sample at seed ChainSeed(s, i)). It compiles the model under
+// opts, draws once, and closes, so every option a Sampler honors —
+// runtimes, remote workers, measured budgets, metrics — is honored here
+// too. With Distributed the compiled init and budget run on the
+// LOCAL-model simulator instead.
 func Sample(m *Model, opts ...Option) (*Result, error) {
 	cfg := mrfConfig(opts)
 	s, err := compileMRF(m, cfg)
@@ -376,7 +386,20 @@ func Sample(m *Model, opts ...Option) (*Result, error) {
 		return nil, err
 	}
 	defer s.Close()
-	return s.drawOne(context.Background(), cfg.Seed, nil)
+	res := &Result{Rounds: s.rounds, TheoryRounds: s.theory}
+	if cfg.Distributed {
+		res.Sample, res.Stats, err = dist.RunMRF(m, cfg.Algorithm, s.init, cfg.Seed, s.rounds, cfg.DropRule3)
+	} else {
+		var st ShardStats
+		res.Sample, st, err = s.drawOne(context.Background(), cfg.Seed, nil)
+		if s.shards > 1 {
+			res.Shard = &st
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // TheoryRounds returns the paper's round bound for the model/algorithm pair

@@ -14,6 +14,7 @@ package locsample_test
 // test never races the draw's completion.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os/exec"
@@ -50,35 +51,25 @@ func newChaosDraw(t *testing.T, kind string, shards int, addrs, standby []string
 	policy locsample.RetryPolicy, reg *obs.Registry) (want []int, draw func() ([]int, error)) {
 	t.Helper()
 	const rounds, seed = 18, 91
+	remote := []locsample.Option{
+		locsample.WithRounds(rounds), locsample.WithSeed(seed),
+		locsample.WithShards(shards), locsample.WithRemoteWorkers(addrs...),
+		locsample.WithStandbyWorkers(standby...),
+		locsample.WithRetryPolicy(policy), locsample.WithMetrics(reg),
+	}
+	var (
+		central, s drawer
+		err        error
+	)
 	switch kind {
 	case "mrf":
 		g := locsample.GridGraph(8, 6)
 		m := locsample.NewColoring(g, 3*g.MaxDeg())
-		central, err := locsample.NewSampler(m,
-			locsample.WithRounds(rounds), locsample.WithSeed(seed))
-		if err != nil {
+		if central, err = locsample.NewSampler(m, locsample.WithRounds(rounds), locsample.WithSeed(seed)); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := central.Sample()
-		if err != nil {
+		if s, err = locsample.NewSampler(m, remote...); err != nil {
 			t.Fatal(err)
-		}
-		want = ref.Sample
-		s, err := locsample.NewSampler(m,
-			locsample.WithRounds(rounds), locsample.WithSeed(seed),
-			locsample.WithShards(shards), locsample.WithRemoteWorkers(addrs...),
-			locsample.WithStandbyWorkers(standby...),
-			locsample.WithRetryPolicy(policy), locsample.WithMetrics(reg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		draw = func() ([]int, error) {
-			res, err := s.Sample()
-			if err != nil {
-				return nil, err
-			}
-			return res.Sample, nil
 		}
 	case "csp":
 		g := locsample.GridGraph(6, 5)
@@ -87,30 +78,23 @@ func newChaosDraw(t *testing.T, kind string, shards int, addrs, standby []string
 		for i := range init {
 			init[i] = 1
 		}
-		central, err := locsample.NewCSPSampler(g, c, init,
-			locsample.WithRounds(rounds), locsample.WithSeed(seed))
-		if err != nil {
+		if central, err = locsample.NewCSPSampler(g, c, init, locsample.WithRounds(rounds), locsample.WithSeed(seed)); err != nil {
 			t.Fatal(err)
 		}
-		want, _, err = central.Sample()
-		if err != nil {
+		if s, err = locsample.NewCSPSampler(g, c, init, remote...); err != nil {
 			t.Fatal(err)
-		}
-		s, err := locsample.NewCSPSampler(g, c, init,
-			locsample.WithRounds(rounds), locsample.WithSeed(seed),
-			locsample.WithShards(shards), locsample.WithRemoteWorkers(addrs...),
-			locsample.WithStandbyWorkers(standby...),
-			locsample.WithRetryPolicy(policy), locsample.WithMetrics(reg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		draw = func() ([]int, error) {
-			out, _, err := s.Sample()
-			return out, err
 		}
 	default:
 		t.Fatalf("unknown kind %q", kind)
+	}
+	want = drawOne(t, central, locsample.DrawRequest{Seed: seed}).Samples[0]
+	t.Cleanup(func() { s.Close() })
+	draw = func() ([]int, error) {
+		b, err := s.Draw(context.Background(), locsample.DrawRequest{Seed: seed, K: 1})
+		if err != nil {
+			return nil, err
+		}
+		return b.Samples[0], nil
 	}
 	return want, draw
 }

@@ -10,6 +10,7 @@ package locsample_test
 // cue).
 
 import (
+	"context"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -147,13 +148,14 @@ func TestRemoteWorkerFaultRetryCleanTrace(t *testing.T) {
 	}
 	defer s.Close()
 
-	res, tr, err := s.SampleTraced()
+	res, err := s.Draw(context.Background(), locsample.DrawRequest{Seed: seed, K: 1, Trace: true})
 	if err != nil {
 		t.Fatalf("draw after one worker fault: %v", err)
 	}
-	if len(res.Sample) != g.N() {
-		t.Fatalf("sample has %d states, want %d", len(res.Sample), g.N())
+	if len(res.Samples[0]) != g.N() {
+		t.Fatalf("sample has %d states, want %d", len(res.Samples[0]), g.N())
 	}
+	tr := res.Trace
 	if failFirst.Load() {
 		t.Fatal("fault was never injected")
 	}

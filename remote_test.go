@@ -128,7 +128,7 @@ func TestCrossProcessShardedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := central.SampleN(k)
+	want, err := central.SampleNFrom(seed, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestCrossProcessShardedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		got, err := s.SampleN(k)
+		got, err := s.SampleNFrom(seed, k)
 		if err != nil {
 			s.Close()
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -181,7 +181,7 @@ func TestCrossProcessCSPBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := central.SampleN(k)
+	want, err := central.SampleNFrom(seed, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestCrossProcessCSPBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		got, err := s.SampleN(k)
+		got, err := s.SampleNFrom(seed, k)
 		if err != nil {
 			s.Close()
 			t.Fatalf("shards=%d: %v", shards, err)
